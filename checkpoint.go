@@ -40,40 +40,14 @@ type CheckpointSchemaVersionError = checkpoint.SchemaVersionError
 // after atEpoch epochs (0 selects the final epoch, making the
 // container a pure resume point for extending the run). The returned
 // summary is bit-identical to RunContext with the same rc.
-func CheckpointRun(ctx context.Context, rc RunConfig, atEpoch int, w io.Writer) (RunSummary, error) {
-	if err := rc.Validate(); err != nil {
-		return RunSummary{}, err
-	}
-	rc = rc.withDefaults()
-	if atEpoch == 0 {
-		atEpoch = rc.Epochs
-	}
-	if atEpoch < 0 || atEpoch > rc.Epochs {
-		return RunSummary{}, fmt.Errorf("%w: checkpoint.at_epoch: must be in [1, %d] (0 selects the final epoch), got %d",
-			ErrInvalidConfig, rc.Epochs, atEpoch)
-	}
-	job, err := rc.job()
-	if err != nil {
-		return RunSummary{}, err
-	}
-	out, ck, err := runner.New(runner.Options{Workers: 1}).RunWithCheckpoint(ctx, job, atEpoch)
-	if err != nil {
-		return RunSummary{}, err
-	}
-	if err := checkpoint.Encode(w, ck); err != nil {
-		return RunSummary{}, fmt.Errorf("write checkpoint: %w", err)
-	}
-	return summarize(out), nil
-}
-
-// CheckpointRunInterruptible is CheckpointRun with a soft-stop signal:
-// when stop fires (a closed or signaled channel — wire it to
-// SIGINT/SIGTERM in a CLI), the run finishes its current epoch, writes
-// the state at that boundary to w as its final checkpoint, and returns
-// ErrInterrupted; resume the container with ResumeRun to finish the
-// run, bit-identical to the uninterrupted one. A run that completes
-// without interruption behaves exactly like CheckpointRun.
-func CheckpointRunInterruptible(ctx context.Context, rc RunConfig, atEpoch int, stop <-chan struct{}, w io.Writer) (RunSummary, error) {
+//
+// stop is a soft-stop signal; nil runs to completion. When stop fires
+// (a closed or signaled channel — wire it to SIGINT/SIGTERM in a CLI),
+// the run finishes its current epoch, writes the state at that
+// boundary to w as its final checkpoint, and returns ErrInterrupted;
+// resume the container with ResumeRun to finish the run, bit-identical
+// to the uninterrupted one.
+func CheckpointRun(ctx context.Context, rc RunConfig, atEpoch int, stop <-chan struct{}, w io.Writer) (RunSummary, error) {
 	if err := rc.Validate(); err != nil {
 		return RunSummary{}, err
 	}
@@ -107,24 +81,18 @@ func CheckpointRunInterruptible(ctx context.Context, rc RunConfig, atEpoch int, 
 
 // ResumeRun reads a checkpoint container from r and continues the run
 // to epochs total OS quanta (counting the epochs already completed at
-// the snapshot), pairing it against the cold baseline of the full
-// length. The summary is bit-identical to the uninterrupted run of the
-// same configuration.
+// the snapshot) on up to shards event-engine shards (see
+// RunConfig.Shards; 0 or 1 selects one shard), pairing it against the
+// cold baseline of the full length. The summary is bit-identical to
+// the uninterrupted run of the same configuration. The shard count is
+// an execution strategy, not part of the checkpointed state: a
+// container written under any shard count resumes under any other.
 //
 // Corrupted containers fail with ErrCorruptCheckpoint, incompatible
 // schema versions with a *CheckpointSchemaVersionError, and a
 // container whose state does not fit the run it describes (hand-edited
 // geometry, mismatched governor) with ErrInvalidConfig.
-func ResumeRun(ctx context.Context, r io.Reader, epochs int) (RunSummary, error) {
-	return ResumeRunShards(ctx, r, epochs, 0)
-}
-
-// ResumeRunShards is ResumeRun continuing the run on the channel-sharded
-// parallel event engine (see RunConfig.Shards; 0 or 1 selects the serial
-// engine). The shard count is an execution strategy, not part of the
-// checkpointed state: a container written under any shard count resumes
-// under any other with a bit-identical summary.
-func ResumeRunShards(ctx context.Context, r io.Reader, epochs, shards int) (RunSummary, error) {
+func ResumeRun(ctx context.Context, r io.Reader, epochs, shards int) (RunSummary, error) {
 	if shards < 0 {
 		return RunSummary{}, fmt.Errorf("%w: resume.shards: must be >= 0 (0 selects the serial engine), got %d",
 			ErrInvalidConfig, shards)

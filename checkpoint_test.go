@@ -96,14 +96,14 @@ func TestForkEquivalence(t *testing.T) {
 			// call must not perturb the event sequence).
 			at := rc.Epochs / 2
 			var buf bytes.Buffer
-			ckSum, err := CheckpointRun(ctx, rc, at, &buf)
+			ckSum, err := CheckpointRun(ctx, rc, at, nil, &buf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameBits(t, "checkpointed run", cold, ckSum)
 
 			// Resume from the serialized container to the full length.
-			resumed, err := ResumeRun(ctx, bytes.NewReader(buf.Bytes()), rc.Epochs)
+			resumed, err := ResumeRun(ctx, bytes.NewReader(buf.Bytes()), rc.Epochs, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	rc := RunConfig{Mix: "MID1", Policy: "MemScale", Epochs: 2, Cores: 4, Channels: 2}
 
 	var buf bytes.Buffer
-	if _, err := CheckpointRun(ctx, rc, 0, &buf); err != nil {
+	if _, err := CheckpointRun(ctx, rc, 0, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,7 +132,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ResumeRun(ctx, bytes.NewReader(buf.Bytes()), 4)
+	resumed, err := ResumeRun(ctx, bytes.NewReader(buf.Bytes()), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +140,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 	t.Run("cross-shard restore", func(t *testing.T) {
 		// The shard count is an execution strategy, not checkpointed
-		// state: a container written under the 4-shard engine restores
-		// serially (and vice versa) bit-identically to the cold serial
-		// run, because Save merges the shard queues into the canonical
-		// serial order and Load re-partitions it.
+		// state: a container written on 4 shards restores on one (and
+		// vice versa) bit-identically to the cold one-shard run, because
+		// Save merges the shard queues into the canonical order and Load
+		// re-partitions it.
 		prc := RunConfig{Mix: "MEM1", Policy: "MemScale", Epochs: 2, Cores: 4, Partitioned: true}
 		long := prc
 		long.Epochs = 4
@@ -155,40 +155,40 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		sharded := prc
 		sharded.Shards = 4
 		var b4 bytes.Buffer
-		if _, err := CheckpointRun(ctx, sharded, 0, &b4); err != nil {
+		if _, err := CheckpointRun(ctx, sharded, 0, nil, &b4); err != nil {
 			t.Fatal(err)
 		}
-		res, err := ResumeRun(ctx, bytes.NewReader(b4.Bytes()), 4)
+		res, err := ResumeRun(ctx, bytes.NewReader(b4.Bytes()), 4, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameBits(t, "shards=4 container restored serially", cold, res)
 
 		var b0 bytes.Buffer
-		if _, err := CheckpointRun(ctx, prc, 0, &b0); err != nil {
+		if _, err := CheckpointRun(ctx, prc, 0, nil, &b0); err != nil {
 			t.Fatal(err)
 		}
-		res4, err := ResumeRunShards(ctx, bytes.NewReader(b0.Bytes()), 4, 4)
+		res4, err := ResumeRun(ctx, bytes.NewReader(b0.Bytes()), 4, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameBits(t, "serial container restored at 4 shards", cold, res4)
 	})
 	t.Run("epochs not beyond snapshot", func(t *testing.T) {
-		_, err := ResumeRun(ctx, bytes.NewReader(buf.Bytes()), 2)
+		_, err := ResumeRun(ctx, bytes.NewReader(buf.Bytes()), 2, 0)
 		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), "resume.epochs") {
 			t.Fatalf("err = %v, want ErrInvalidConfig naming resume.epochs", err)
 		}
 	})
 	t.Run("at_epoch out of range", func(t *testing.T) {
 		var sink bytes.Buffer
-		_, err := CheckpointRun(ctx, rc, 99, &sink)
+		_, err := CheckpointRun(ctx, rc, 99, nil, &sink)
 		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), "checkpoint.at_epoch") {
 			t.Fatalf("err = %v, want ErrInvalidConfig naming checkpoint.at_epoch", err)
 		}
 	})
 	t.Run("corrupt container", func(t *testing.T) {
-		_, err := ResumeRun(ctx, strings.NewReader("not a checkpoint\n"), 4)
+		_, err := ResumeRun(ctx, strings.NewReader("not a checkpoint\n"), 4, 0)
 		if !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
 		}
@@ -213,7 +213,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Fatal("payload_crc32 field not found in header")
 		}
 		tampered = append(append(header, '\n'), tampered[nl+1:]...)
-		_, err := ResumeRun(ctx, bytes.NewReader(tampered), 4)
+		_, err := ResumeRun(ctx, bytes.NewReader(tampered), 4, 0)
 		if !errors.Is(err, ErrInvalidConfig) {
 			t.Fatalf("err = %v, want ErrInvalidConfig for mismatched state", err)
 		}
@@ -279,7 +279,7 @@ func TestResumeRunCorruptReaders(t *testing.T) {
 	ctx := context.Background()
 	rc := RunConfig{Mix: "MID1", Policy: "MemScale", Epochs: 2, Cores: 4, Channels: 2}
 	var buf bytes.Buffer
-	if _, err := CheckpointRun(ctx, rc, 0, &buf); err != nil {
+	if _, err := CheckpointRun(ctx, rc, 0, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -290,14 +290,14 @@ func TestResumeRunCorruptReaders(t *testing.T) {
 
 	t.Run("truncated payload", func(t *testing.T) {
 		for _, cut := range []int{headerEnd + 1, headerEnd + 10, len(data) / 2} {
-			_, err := ResumeRun(ctx, bytes.NewReader(data[:cut]), 4)
+			_, err := ResumeRun(ctx, bytes.NewReader(data[:cut]), 4, 0)
 			if !errors.Is(err, ErrCorruptCheckpoint) {
 				t.Errorf("cut at %d: err = %v, want ErrCorruptCheckpoint", cut, err)
 			}
 		}
 	})
 	t.Run("header only", func(t *testing.T) {
-		_, err := ResumeRun(ctx, bytes.NewReader(data[:headerEnd]), 4)
+		_, err := ResumeRun(ctx, bytes.NewReader(data[:headerEnd]), 4, 0)
 		if !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
 		}
@@ -308,7 +308,7 @@ func TestResumeRunCorruptReaders(t *testing.T) {
 		// ErrCorruptCheckpoint.
 		flipped := append([]byte(nil), data...)
 		flipped[headerEnd+(len(data)-headerEnd)/2] ^= 0x01
-		_, err := ResumeRun(ctx, bytes.NewReader(flipped), 4)
+		_, err := ResumeRun(ctx, bytes.NewReader(flipped), 4, 0)
 		if !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
 		}
@@ -318,33 +318,33 @@ func TestResumeRunCorruptReaders(t *testing.T) {
 		if bytes.Equal(bumped, data) {
 			t.Fatal("schema_version not found in header")
 		}
-		_, err := ResumeRun(ctx, bytes.NewReader(bumped), 4)
+		_, err := ResumeRun(ctx, bytes.NewReader(bumped), 4, 0)
 		var sv *CheckpointSchemaVersionError
 		if !errors.As(err, &sv) {
 			t.Fatalf("err = %v, want *CheckpointSchemaVersionError", err)
 		}
 	})
 	t.Run("empty reader", func(t *testing.T) {
-		_, err := ResumeRun(ctx, strings.NewReader(""), 4)
+		_, err := ResumeRun(ctx, strings.NewReader(""), 4, 0)
 		if !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
 		}
 	})
 }
 
-// TestCheckpointRunInterruptible: a pre-fired stop channel halts the
+// TestCheckpointRunStop: a pre-fired stop channel halts the
 // run at its first epoch boundary with ErrInterrupted, the container
 // written at the stop boundary resumes, and the resumed total is
 // bit-identical to the cold uninterrupted run — the single-run face of
 // the fleet's transparent-recovery contract.
-func TestCheckpointRunInterruptible(t *testing.T) {
+func TestCheckpointRunStop(t *testing.T) {
 	ctx := context.Background()
 	rc := RunConfig{Mix: "MID1", Policy: "MemScale", Epochs: 3, Cores: 4, Channels: 2}
 
 	stop := make(chan struct{})
 	close(stop)
 	var buf bytes.Buffer
-	_, err := CheckpointRunInterruptible(ctx, rc, 0, stop, &buf)
+	_, err := CheckpointRun(ctx, rc, 0, stop, &buf)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
@@ -356,15 +356,15 @@ func TestCheckpointRunInterruptible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ResumeRun(ctx, bytes.NewReader(buf.Bytes()), rc.Epochs)
+	resumed, err := ResumeRun(ctx, bytes.NewReader(buf.Bytes()), rc.Epochs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameBits(t, "interrupt-resumed run", cold, resumed)
 
-	// A nil stop channel must behave exactly like CheckpointRun.
+	// A nil stop channel runs to completion.
 	var full bytes.Buffer
-	sum, err := CheckpointRunInterruptible(ctx, rc, 0, nil, &full)
+	sum, err := CheckpointRun(ctx, rc, 0, nil, &full)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,6 @@ func main() {
 	capEvery := flag.Int("cap-every", 1, "coordinator period in epochs")
 	gamma := flag.Float64("gamma", 0.10, "maximum allowed per-node performance degradation")
 	shards := flag.Int("shards", 1, "event-engine shards per node (1 = serial; >1 engages the parallel engine on partitioned or interleaved mixes, e.g. MEM1/part, MEM1/ilv2)")
-	coreSplit := flag.String("core-split", "", "core-split policy between node workers and per-node shards: auto, nodes, or shards (default auto)")
 	seed := flag.Uint64("seed", 0, "fleet seed (decorrelates nodes; fixes the whole run)")
 	workers := flag.Int("workers", 0, "node-level parallelism (0 = GOMAXPROCS); results are worker-count independent")
 	jsonOut := flag.String("json", "", "write the full fleet summary JSON to this path")
@@ -96,7 +95,6 @@ func main() {
 		CapIntervalEpochs: *capEvery,
 		Seed:              *seed,
 		Workers:           *workers,
-		CoreSplit:         *coreSplit,
 	}
 	if *selfHeal || *maxRetries > 0 || *ckptEvery > 0 || *stepTimeout > 0 {
 		fc.Recovery = &memscale.FleetRecoveryConfig{

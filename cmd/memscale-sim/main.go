@@ -201,14 +201,14 @@ func main() {
 		if f, err = os.Open(*restore); err != nil {
 			fatal(err)
 		}
-		sum, err = memscale.ResumeRunShards(ctx, f, *epochs, *shards)
+		sum, err = memscale.ResumeRun(ctx, f, *epochs, *shards)
 		f.Close()
 		if err == nil {
 			fmt.Printf("resumed from %s\n", *restore)
 		}
 	case *checkpointOut != "":
 		var buf bytes.Buffer
-		sum, err = memscale.CheckpointRunInterruptible(ctx, rc, *checkpointEpoch, softStop, &buf)
+		sum, err = memscale.CheckpointRun(ctx, rc, *checkpointEpoch, softStop, &buf)
 		interrupted := errors.Is(err, memscale.ErrInterrupted)
 		if err == nil || interrupted {
 			if werr := os.WriteFile(*checkpointOut, buf.Bytes(), 0o644); werr != nil {

@@ -93,12 +93,12 @@ type NodeGroup struct {
 	Cores    int
 	Channels int
 
-	// Shards selects the sharded parallel event engine for the group's
-	// nodes — managed runs and paired baselines alike — exactly like
-	// RunConfig.Shards (0 or 1 runs the serial engine; results are
-	// bit-identical either way). Must not exceed the group's channel
-	// count. The effective per-node count is bounded by the fleet's
-	// core split (FleetConfig.CoreSplit).
+	// Shards is the most event-engine shards the group's nodes may use
+	// — managed runs and paired baselines alike — exactly like
+	// RunConfig.Shards (0 or 1 runs one shard; results are
+	// bit-identical at any count). Must not exceed the group's channel
+	// count. While nodes outnumber the worker pool every node runs one
+	// shard; leftover cores become shards.
 	Shards int
 
 	// Arrival is the group's open-loop arrival process. The zero value
@@ -212,16 +212,6 @@ type FleetConfig struct {
 	// Workers bounds node-level parallelism (0 = GOMAXPROCS).
 	Workers int
 
-	// CoreSplit names the policy dividing the core pool between
-	// node-level workers and per-node event-engine shards when groups
-	// request Shards > 1: "" or "auto" (work-conserving: saturate
-	// node-level parallelism first, leftover cores become shards),
-	// "nodes" (all cores to node workers; nodes run serial), or
-	// "shards" (honor shard requests first, workers from the
-	// remainder). Results are bit-identical under every policy; only
-	// wall-clock changes.
-	CoreSplit string
-
 	// Recovery arms the self-healing supervisor on every node (groups
 	// may override it per group). Nil disables recovery.
 	Recovery *FleetRecoveryConfig
@@ -245,12 +235,6 @@ func (fc FleetConfig) Validate() error {
 	case fc.CapIntervalEpochs < 0:
 		return fmt.Errorf("%w: cap_interval_epochs: must be >= 0 (0 selects the default 1), got %d",
 			ErrInvalidConfig, fc.CapIntervalEpochs)
-	}
-	switch fc.CoreSplit {
-	case "", "auto", "nodes", "shards":
-	default:
-		return fmt.Errorf("%w: core_split: must be \"\", %q, %q, or %q, got %q",
-			ErrInvalidConfig, "auto", "nodes", "shards", fc.CoreSplit)
 	}
 	if err := fc.Recovery.validate("recovery"); err != nil {
 		return err
@@ -310,13 +294,12 @@ func (fc FleetConfig) Validate() error {
 // engine's own config type.
 func (fc FleetConfig) internal() (fleet.Config, error) {
 	c := fleet.Config{
-		Epochs:    fc.Epochs,
-		BudgetW:   fc.PowerBudgetW,
-		CapEvery:  fc.CapIntervalEpochs,
-		Seed:      fc.Seed,
-		Workers:   fc.Workers,
-		CoreSplit: fc.CoreSplit,
-		Recovery:  fc.Recovery.internal(),
+		Epochs:   fc.Epochs,
+		BudgetW:  fc.PowerBudgetW,
+		CapEvery: fc.CapIntervalEpochs,
+		Seed:     fc.Seed,
+		Workers:  fc.Workers,
+		Recovery: fc.Recovery.internal(),
 	}
 	for gi, g := range fc.Groups {
 		mix, err := workload.ByName(g.Mix)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"memscale/internal/config"
@@ -91,7 +92,7 @@ func TestPerChannelPolicyOnPartitionedMix(t *testing.T) {
 		Apps: [4]string{"swim", "eon", "art", "crafty"}}
 
 	run := func(gov sim.Governor, nonMem float64) sim.Result {
-		streams, err := mix.PartitionedStreams(&cfg)
+		streams, err := mix.Partition().Streams(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestPartitionedStreamsConfineChannels(t *testing.T) {
 	cfg := config.Default()
 	mix := workload.Mix{Name: "HETT2", Class: workload.ClassMID,
 		Apps: [4]string{"swim", "eon", "art", "crafty"}}
-	streams, err := mix.PartitionedStreams(&cfg)
+	streams, err := mix.Partition().Streams(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,5 +167,36 @@ func TestLadderIndex(t *testing.T) {
 	}
 	if ladderIndex(999) != 0 {
 		t.Error("unknown frequency should map to index 0")
+	}
+}
+
+// TestPerChannelGolden pins a per-channel run to the last bit. Uniform
+// governors are pinned by the root goldens and the shard parity suites;
+// this covers the one-shard controller path per-channel frequencies
+// take (shared MC clock re-derived from the fastest channel on every
+// relock), which no differential test exercises.
+func TestPerChannelGolden(t *testing.T) {
+	cfg := config.Default()
+	cfg.Cores = 4
+	mix := workload.Mix{Name: "HETG", Class: workload.ClassMID,
+		Apps: [4]string{"swim", "eon", "art", "crafty"}}
+	streams, err := mix.Partition().Streams(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := NewPerChannelPolicy(&cfg, Options{NonMemPower: 20})
+	s, err := sim.New(cfg, streams, sim.Options{Governor: pol, NonMemPower: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.RunFor(4 * cfg.Policy.EpochLength)
+	if got := math.Float64bits(res.Memory.Memory()); got != 0x3fd6f33db576eae0 {
+		t.Errorf("memory energy bits %#x, want 0x3fd6f33db576eae0", got)
+	}
+	if got := math.Float64bits(res.MeanCPI()); got != 0x4007c115b52a1864 {
+		t.Errorf("mean CPI bits %#x, want 0x4007c115b52a1864", got)
+	}
+	if res.Events != 2214916 {
+		t.Errorf("fired %d events, want 2214916", res.Events)
 	}
 }

@@ -14,7 +14,8 @@ import (
 // memory channels and the cores bound to them) and advances its own
 // queue; shards only run concurrently inside a time window whose edge
 // the caller guarantees free of cross-shard interaction, so no locks
-// guard the queues themselves.
+// guard the queues themselves. A one-shard set is the serial engine:
+// its single queue numbers events exactly like a zero Queue.
 //
 // Sequence numbers are allocated from disjoint residue classes of one
 // notional global counter (shard j issues j+n, j+2n, ... of an n-shard
@@ -23,20 +24,15 @@ import (
 // different shards never interact inside a window, and all same-instant
 // ordering decisions in the simulator compare only seqs of the same
 // shard, so the residue-class renumbering is unobservable — the
-// parallel run is bit-identical to the serial one.
+// parallel run is bit-identical to the one-shard run.
 //
 // Cross-shard events (the refresh storms a fault plan injects at an
 // epoch edge) are exchanged only at window edges via reserved per-shard
 // tickets: RunCross drains every shard exactly to its ticket's position
-// and then executes the callback serially, which is precisely where the
-// serial engine would have fired the single cross event.
+// and then executes the callback serially, which is precisely where a
+// single queued event holding the ticket would have fired.
 type ShardSet struct {
 	qs []*Queue
-
-	// crossFired counts cross-shard callbacks executed by RunCross;
-	// Fired adds it to the per-shard totals so the merged count matches
-	// the serial engine's, where each cross event fires exactly once.
-	crossFired uint64
 }
 
 // NewShardSet builds n empty shards with residue-class sequence
@@ -72,9 +68,9 @@ func (s *ShardSet) Len() int {
 }
 
 // Fired returns the total number of events executed, counting each
-// cross-shard callback once (as the serial engine would).
+// cross-shard callback once.
 func (s *ShardSet) Fired() uint64 {
-	n := s.crossFired
+	var n uint64
 	for _, q := range s.qs {
 		n += q.fired
 	}
@@ -135,9 +131,9 @@ func (s *ShardSet) RunUntil(deadline config.Time) {
 // ReserveTickets reserves one ordering ticket on every shard, in shard
 // order, and returns them. A cross-shard event scheduled at a window
 // edge takes a ticket per shard so that each shard can later be drained
-// exactly to the event's position; the serial engine's single ticket
-// and the per-shard tickets occupy the same relative position in every
-// shard's local order, which is all the simulator ever observes.
+// exactly to the event's position; the per-shard tickets occupy the
+// same relative position in every shard's local order that one queued
+// event's ticket would, which is all the simulator ever observes.
 func (s *ShardSet) ReserveTickets() []Seq {
 	ts := make([]Seq, len(s.qs))
 	for j, q := range s.qs {
@@ -152,7 +148,8 @@ func (s *ShardSet) ReserveTickets() []Seq {
 // serially with every shard's clock at the event's instant and its
 // firing cursor at the ticket, so same-instant ordering checks inside
 // fn resolve exactly as they would around the serial engine's single
-// event.
+// event. The callback counts as one scheduled and one fired event of
+// shard 0, exactly as the queued event would have.
 func (s *ShardSet) RunCross(at config.Time, tickets []Seq, fn func(now config.Time)) {
 	if len(tickets) != len(s.qs) {
 		panic(fmt.Sprintf("event: RunCross with %d tickets for %d shards", len(tickets), len(s.qs)))
@@ -174,20 +171,22 @@ func (s *ShardSet) RunCross(at config.Time, tickets []Seq, fn func(now config.Ti
 	for j, q := range s.qs {
 		q.firing = uint64(tickets[j])
 	}
-	// Account the cross event exactly as the serial engine's single
-	// scheduled-and-fired event would have been.
 	s.qs[0].scheduled++
-	s.crossFired++
+	s.qs[0].fired++
 	fn(at)
 }
 
 // Save captures the whole set as a single canonical Queue state: the
-// image of the serial queue that holds every pending event of every
-// shard. Entries are merged in (time, seq) order — a sorted array is a
-// valid 4-ary min-heap — over a dense node arena with an empty free
-// list, so loading the state into one serial queue (or re-partitioning
-// it across any shard count) reproduces the same future behaviour.
+// image of one queue that holds every pending event of every shard. A
+// one-shard set saves its queue verbatim. Otherwise entries are merged
+// in (time, seq) order — a sorted array is a valid 4-ary min-heap —
+// over a dense node arena with an empty free list, so loading the
+// state into one queue (or re-partitioning it across any shard count)
+// reproduces the same future behaviour.
 func (s *ShardSet) Save(codec Codec) (*State, error) {
+	if len(s.qs) == 1 {
+		return s.qs[0].Save(codec)
+	}
 	st := &State{Now: s.Now()}
 	for _, q := range s.qs {
 		if q.seq > st.Seq {
@@ -200,7 +199,6 @@ func (s *ShardSet) Save(codec Codec) (*State, error) {
 		st.Scheduled += q.scheduled
 		st.Coalesced += q.coalesced
 	}
-	st.Fired += s.crossFired
 	for _, q := range s.qs {
 		for _, e := range q.heap {
 			n := &q.nodes[e.idx]
@@ -261,14 +259,18 @@ func (s *ShardSet) Save(codec Codec) (*State, error) {
 // state contains an event the partition cannot place).
 type ShardOf func(kind string, owner, a, b int32) (int, error)
 
-// Load partitions a canonical serial queue state across the set's
-// shards: every pending event and deferred schedule goes to the shard
-// shardOf names, keeping its (time, seq) key, so the merged order — and
+// Load partitions a canonical queue state across the set's shards:
+// every pending event and deferred schedule goes to the shard shardOf
+// names, keeping its (time, seq) key, so the merged order — and
 // therefore future behaviour — is exactly the saved one. Totals are
 // carried on shard 0; sequence counters restart above the saved
-// counter in each shard's residue class.
+// counter in each shard's residue class. A one-shard set loads the
+// state verbatim and never consults shardOf.
 func (s *ShardSet) Load(st *State, codec Codec, shardOf ShardOf) error {
 	n := len(s.qs)
+	if n == 1 {
+		return s.qs[0].Load(st, codec)
+	}
 	parts := make([]*State, n)
 	for j := range parts {
 		parts[j] = &State{Now: st.Now, Firing: st.Firing}
@@ -334,6 +336,5 @@ func (s *ShardSet) Load(st *State, codec Codec, shardOf ShardOf) error {
 		s.qs[j].seq = st.Seq + uint64(j)
 		s.qs[j].stride = uint64(n)
 	}
-	s.crossFired = 0
 	return nil
 }

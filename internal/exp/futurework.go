@@ -26,7 +26,7 @@ func (p Params) futureRun(mix workload.Mix, mkGov func(*config.Config, float64) 
 	if p.Gamma > 0 {
 		cfg.Policy.Gamma = p.Gamma
 	}
-	streams, err := mix.PartitionedStreams(&cfg)
+	streams, err := mix.Partition().Streams(&cfg)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -92,7 +92,7 @@ func (p Params) FutureWork() (Report, error) {
 // confirms partitioned streams confine each application to its
 // channel.
 func VerifyPartitioning(cfg *config.Config, mix workload.Mix, draws int) (map[string]map[int]int, error) {
-	streams, err := mix.PartitionedStreams(cfg)
+	streams, err := mix.Partition().Streams(cfg)
 	if err != nil {
 		return nil, err
 	}

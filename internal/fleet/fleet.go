@@ -33,12 +33,11 @@ type GroupSpec struct {
 	Gamma           float64
 	Cores, Channels int
 
-	// Shards selects the sharded event engine for every node of the
-	// group — managed runs and their paired baselines alike (0 or 1 =
-	// serial). Results are bit-identical to the serial engine. The
-	// effective per-node count is bounded by the fleet's core split
-	// (Config.CoreSplit): node-level workers and per-node shards share
-	// one GOMAXPROCS pool.
+	// Shards is the most event-engine shards every node of the group
+	// may use — managed runs and their paired baselines alike (0 or 1 =
+	// one shard). Results are bit-identical at any count. The effective
+	// per-node count is bounded by runner.SplitCores: node-level
+	// workers and per-node shards share one GOMAXPROCS pool.
 	Shards int
 
 	Arrival ArrivalSpec
@@ -77,14 +76,6 @@ type Config struct {
 	// Workers bounds node-level parallelism (0 = GOMAXPROCS). Results
 	// are bit-identical on any worker count.
 	Workers int
-
-	// CoreSplit names the policy dividing the core pool between
-	// node-level workers and per-node event-engine shards when groups
-	// request Shards > 1: "" or "auto" (work-conserving: saturate
-	// node-level first, leftover cores shard), "nodes" (all cores to
-	// workers, nodes serial), "shards" (shard requests first). Results
-	// are bit-identical under every policy; only wall-clock changes.
-	CoreSplit string
 
 	// Recovery, when non-nil, arms the self-healing supervisor on every
 	// node: periodic snapshots, watchdog-bounded window attempts, and
@@ -336,10 +327,7 @@ func run(ctx context.Context, c Config, wantBundle bool) (Summary, *CheckpointBu
 			maxShards = n.shards
 		}
 	}
-	workers, shardsPer, err := runner.SplitCores(c.CoreSplit, procs, len(nodes), maxShards)
-	if err != nil {
-		return Summary{}, nil, fmt.Errorf("fleet: %w", err)
-	}
+	workers, shardsPer := runner.SplitCores(procs, len(nodes), maxShards)
 	for _, n := range nodes {
 		n.effShards = n.shards
 		if n.effShards > shardsPer {

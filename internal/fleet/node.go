@@ -116,20 +116,8 @@ func (n *node) streamsFor(cfg *config.Config) ([]*trace.Stream, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: node %d: %w", n.global, err)
 		}
-		var channels []int
-		if n.mix.Partitioned {
-			channels = []int{appIdx % cfg.Channels}
-		} else if k := n.mix.Interleave; k > 1 {
-			// The same K-channel group placement the single-node
-			// InterleavedStreams uses: genuinely interleaved inside the
-			// group, confined across groups.
-			g := appIdx % (cfg.Channels / k)
-			for ch := g * k; ch < (g+1)*k; ch++ {
-				channels = append(channels, ch)
-			}
-		}
 		s, err := trace.NewStreamOnChannels(p, mapper,
-			trace.Seed("fleet", int(n.seed), n.global, base, name, core), channels)
+			trace.Seed("fleet", int(n.seed), n.global, base, name, core), n.mix.AppChannels(appIdx, cfg.Channels))
 		if err != nil {
 			return nil, fmt.Errorf("fleet: node %d core %d: %w", n.global, core, err)
 		}

@@ -305,13 +305,12 @@ func (e *Engine) runCheckpointAttempt(ctx context.Context, job Job, cfg config.C
 		rec.GammaBound.Set(cfg.Policy.Gamma)
 	}
 	s, err := sim.New(cfg, streams, sim.Options{
-		Governor:         gov,
-		NonMemPower:      nonMem,
-		KeepTimeline:     job.Timeline,
-		Telemetry:        rec,
-		Faults:           inj,
-		Shards:           job.Shards,
-		ShardGranularity: job.ShardGranularity,
+		Governor:     gov,
+		NonMemPower:  nonMem,
+		KeepTimeline: job.Timeline,
+		Telemetry:    rec,
+		Faults:       inj,
+		Shards:       job.Shards,
 	})
 	if err != nil {
 		return Outcome{}, nil, 0, err

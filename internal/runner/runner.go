@@ -69,17 +69,12 @@ type Job struct {
 	// Cores and Channels, when positive, override the machine shape.
 	Cores, Channels int
 
-	// Shards, when > 1, requests the sharded parallel event engine for
-	// both the managed run and its memoized baseline
-	// (sim.Options.Shards). Every run is bit-identical to the serial
-	// engine at any shard count — telemetry included — and the engine
-	// falls back to serial when the workload or governor is ineligible.
+	// Shards, when > 1, lets both the managed run and its memoized
+	// baseline use up to that many event-engine shards
+	// (sim.Options.Shards). Every run is bit-identical at any shard
+	// count — telemetry included — and the engine runs one shard when
+	// the workload or governor cannot split.
 	Shards int
-
-	// ShardGranularity selects the engine's confinement analysis
-	// (sim.Options.ShardGranularity): "" or "bank" for confinement
-	// groups, "channel" for PR 9's strict per-channel rule.
-	ShardGranularity string
 
 	// Mutate, when non-nil, edits the configuration after the fields
 	// above are applied and before the policy's own Configure hook;
@@ -357,13 +352,12 @@ func (e *Engine) runAttempt(ctx context.Context, job Job, cfg config.Config, non
 		rec.GammaBound.Set(cfg.Policy.Gamma)
 	}
 	opts := sim.Options{
-		Governor:         gov,
-		NonMemPower:      nonMem,
-		KeepTimeline:     job.Timeline,
-		Telemetry:        rec,
-		Faults:           inj,
-		Shards:           job.Shards,
-		ShardGranularity: job.ShardGranularity,
+		Governor:     gov,
+		NonMemPower:  nonMem,
+		KeepTimeline: job.Timeline,
+		Telemetry:    rec,
+		Faults:       inj,
+		Shards:       job.Shards,
 	}
 	var s *sim.System
 	if job.Warm != nil {

@@ -1,77 +1,19 @@
 package runner
 
-import "fmt"
-
-// Core-split policies for two-level parallelism: when a fan-out layer
-// (the fleet, a sweep) runs many simulations that can each use the
-// sharded event engine, GOMAXPROCS must be divided between outer-level
-// workers and per-simulation shards. SplitCores is the shared policy.
-const (
-	// SplitAuto is the work-conserving default: saturate the outer
-	// level first (one core per task while tasks outnumber cores), and
-	// hand leftover cores to shards only when there are fewer tasks
-	// than cores.
-	SplitAuto = "auto"
-
-	// SplitNodes devotes every core to outer-level workers and runs
-	// each task on the serial engine — the pre-two-level behaviour.
-	SplitNodes = "nodes"
-
-	// SplitShards gives every task its requested shard count first and
-	// sizes the outer worker pool from what is left.
-	SplitShards = "shards"
-)
-
-// ValidCoreSplit reports whether s names a core-split policy ("" means
-// SplitAuto).
-func ValidCoreSplit(s string) bool {
-	switch s {
-	case "", SplitAuto, SplitNodes, SplitShards:
-		return true
-	}
-	return false
-}
-
 // SplitCores divides procs cores between an outer worker pool running
 // tasks independent simulations and the per-simulation shard count,
-// under the named policy. shards is the per-task shard request. It
-// returns the outer pool size and the effective per-task shard count;
-// workers*shardsPer never exceeds max(procs, 1) (the split itself
-// never oversubscribes), both returns are at least 1, workers never
-// exceeds tasks, and shardsPer never exceeds the request.
-//
-// The policy names are the public CoreSplit knob values:
-//
-//   - "" / "auto": work-conserving. While tasks outnumber cores every
-//     core runs a serial task; once tasks fit, each task gets a worker
-//     and the leftover cores become shards.
-//   - "nodes": all cores to workers, tasks run serial.
-//   - "shards": shardsPer = min(shards, procs), workers from the
-//     remainder.
-func SplitCores(policy string, procs, tasks, shards int) (workers, shardsPer int, err error) {
-	if !ValidCoreSplit(policy) {
-		return 0, 0, fmt.Errorf("runner: unknown core-split policy %q", policy)
-	}
-	if procs < 1 {
-		procs = 1
-	}
-	if tasks < 1 {
-		tasks = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	switch policy {
-	case SplitNodes:
-		workers, shardsPer = procs, 1
-	case SplitShards:
-		shardsPer = min(shards, procs)
-		workers = procs / shardsPer
-	default: // "", SplitAuto
-		workers = min(procs, tasks)
-		shardsPer = min(shards, procs/workers)
-	}
-	workers = max(1, min(workers, tasks))
-	shardsPer = max(1, min(shardsPer, shards))
-	return workers, shardsPer, nil
+// for fan-out layers (the fleet) whose simulations can each use the
+// sharded event engine. shards is the per-task shard request. The
+// split is work-conserving: while tasks outnumber cores every core
+// runs a one-shard task; once tasks fit, each task gets a worker and
+// the leftover cores become shards. It returns the outer pool size and
+// the effective per-task shard count; workers*shardsPer never exceeds
+// max(procs, 1), both returns are at least 1, workers never exceeds
+// tasks, and shardsPer never exceeds the request.
+func SplitCores(procs, tasks, shards int) (workers, shardsPer int) {
+	procs = max(procs, 1)
+	tasks = max(tasks, 1)
+	shards = max(shards, 1)
+	workers = min(procs, tasks)
+	return workers, min(shards, procs/workers)
 }

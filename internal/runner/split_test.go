@@ -2,67 +2,38 @@ package runner
 
 import "testing"
 
-// TestSplitCores pins the two-level core-split policy table: the
-// work-conserving default, the two forced policies, and the clamps
+// TestSplitCores pins the work-conserving core split and its clamps
 // (workers never exceed tasks, shards never exceed the request, the
 // split itself never oversubscribes procs).
 func TestSplitCores(t *testing.T) {
 	cases := []struct {
 		name                 string
-		policy               string
 		procs, tasks, shards int
 		wantWorkers, wantPer int
 	}{
-		// auto: tasks outnumber cores -> every core runs a serial task.
-		{"auto oversubscribed", "", 4, 16, 4, 4, 1},
-		{"auto oversubscribed named", "auto", 4, 16, 4, 4, 1},
-		// auto: tasks fit -> leftover cores become shards.
-		{"auto leftover to shards", "", 8, 2, 4, 2, 4},
-		{"auto leftover clamped by request", "", 8, 2, 2, 2, 2},
-		{"auto exact fit", "", 4, 4, 4, 4, 1},
-		{"auto one task", "", 4, 1, 4, 1, 4},
-		{"auto one task modest request", "", 4, 1, 2, 1, 2},
-		// nodes: all cores to workers, serial tasks — but never more
-		// workers than tasks.
-		{"nodes", "nodes", 8, 16, 4, 8, 1},
-		{"nodes clamps to tasks", "nodes", 8, 3, 4, 3, 1},
-		// shards: the request is satisfied first.
-		{"shards", "shards", 8, 16, 4, 2, 4},
-		{"shards clamps to procs", "shards", 2, 16, 4, 1, 2},
-		{"shards leftover workers clamp to tasks", "shards", 8, 1, 2, 1, 2},
+		// Tasks outnumber cores -> every core runs a one-shard task.
+		{"auto oversubscribed", 4, 16, 4, 4, 1},
+		// Tasks fit -> leftover cores become shards.
+		{"auto leftover to shards", 8, 2, 4, 2, 4},
+		{"auto leftover clamped by request", 8, 2, 2, 2, 2},
+		{"auto exact fit", 4, 4, 4, 4, 1},
+		{"auto one task", 4, 1, 4, 1, 4},
+		{"auto one task modest request", 4, 1, 2, 1, 2},
 		// Degenerate inputs clamp to 1.
-		{"zero procs", "", 0, 4, 4, 1, 1},
-		{"zero tasks", "", 4, 0, 4, 1, 4},
-		{"zero shards", "", 4, 2, 0, 2, 1},
+		{"zero procs", 0, 4, 4, 1, 1},
+		{"zero tasks", 4, 0, 4, 1, 4},
+		{"zero shards", 4, 2, 0, 2, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			workers, per, err := SplitCores(tc.policy, tc.procs, tc.tasks, tc.shards)
-			if err != nil {
-				t.Fatal(err)
-			}
+			workers, per := SplitCores(tc.procs, tc.tasks, tc.shards)
 			if workers != tc.wantWorkers || per != tc.wantPer {
-				t.Errorf("SplitCores(%q, %d, %d, %d) = (%d, %d), want (%d, %d)",
-					tc.policy, tc.procs, tc.tasks, tc.shards, workers, per, tc.wantWorkers, tc.wantPer)
+				t.Errorf("SplitCores(%d, %d, %d) = (%d, %d), want (%d, %d)",
+					tc.procs, tc.tasks, tc.shards, workers, per, tc.wantWorkers, tc.wantPer)
 			}
 			if procs := max(tc.procs, 1); workers*per > procs && per > 1 {
 				t.Errorf("split oversubscribes: %d workers x %d shards > %d procs", workers, per, procs)
 			}
 		})
 	}
-	t.Run("unknown policy", func(t *testing.T) {
-		if _, _, err := SplitCores("ranks", 4, 4, 4); err == nil {
-			t.Fatal("SplitCores accepted an unknown policy")
-		}
-	})
-	t.Run("ValidCoreSplit", func(t *testing.T) {
-		for _, ok := range []string{"", SplitAuto, SplitNodes, SplitShards} {
-			if !ValidCoreSplit(ok) {
-				t.Errorf("ValidCoreSplit(%q) = false, want true", ok)
-			}
-		}
-		if ValidCoreSplit("ranks") {
-			t.Error(`ValidCoreSplit("ranks") = true, want false`)
-		}
-	})
 }

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"memscale/internal/config"
+	"memscale/internal/event"
 	"memscale/internal/faults"
 	"memscale/internal/trace"
 )
@@ -31,8 +34,8 @@ func buildConfinedStreams(t *testing.T, cfg *config.Config, profiles []trace.Pro
 // buildInterleavedStreams is buildStreams with OS page placement
 // striping core i across its own 2-channel group (channels [g*2, g*2+2)
 // with g = i mod Channels/2) — the interleaved shape whose confinement
-// groups the bank-granularity analysis discovers. No stream is
-// channel-confined, so the strict per-channel rule refuses it.
+// groups the shard analysis discovers although no stream is
+// channel-confined.
 func buildInterleavedStreams(t *testing.T, cfg *config.Config, profiles []trace.Profile, seed uint64) []*trace.Stream {
 	t.Helper()
 	if cfg.Channels%2 != 0 {
@@ -56,10 +59,10 @@ func buildInterleavedStreams(t *testing.T, cfg *config.Config, profiles []trace.
 // TestShardSerialFallback pins the engine's eligibility rules: a
 // workload whose channel-affinity sets collapse into one confinement
 // group (any stream roaming every channel does it), or a per-channel
-// governor, must silently run serially even when Shards > 1 (zero
+// governor, must silently run on one shard even when Shards > 1 (zero
 // lookahead between shards makes those cases impossible to run
-// bit-identically in parallel), and ParallelShards reports the engine
-// actually in use. Telemetry is NOT a fallback cause: the recorder's
+// bit-identically in parallel), and ParallelShards reports the shard
+// count actually in use. Telemetry is NOT a fallback cause: the recorder's
 // per-channel cells are shard-local and merge at window edges.
 func TestShardSerialFallback(t *testing.T) {
 	cfg := config.Default()
@@ -105,17 +108,6 @@ func TestShardSerialFallback(t *testing.T) {
 			t.Errorf("ParallelShards() = %d for 2-channel groups, want 2", got)
 		}
 	})
-	t.Run("channel granularity refuses group-interleaved", func(t *testing.T) {
-		s, err := New(cfg, buildInterleavedStreams(t, &cfg, profiles, 1), Options{
-			Governor: &ladderGovernor{}, Shards: 4, ShardGranularity: ShardByChannel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.ParallelShards(); got != 1 {
-			t.Errorf("ParallelShards() = %d under ShardByChannel, want 1", got)
-		}
-	})
 	t.Run("shards clamp to channels", func(t *testing.T) {
 		cfg := cfg
 		cfg.Channels = 2
@@ -127,17 +119,6 @@ func TestShardSerialFallback(t *testing.T) {
 		}
 		if got := s.ParallelShards(); got != 2 {
 			t.Errorf("ParallelShards() = %d with 2 channels, want 2", got)
-		}
-	})
-	t.Run("DisableParallel wins", func(t *testing.T) {
-		s, err := New(cfg, buildConfinedStreams(t, &cfg, profiles, 1), Options{
-			Governor: &ladderGovernor{}, Shards: 4, DisableParallel: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.ParallelShards(); got != 1 {
-			t.Errorf("ParallelShards() = %d with DisableParallel, want 1", got)
 		}
 	})
 }
@@ -238,4 +219,82 @@ func FuzzShardEquivalence(f *testing.F) {
 			t.Errorf("sharded run fired %d events, serial fired %d", sharded.Events, serial.Events)
 		}
 	})
+}
+
+// TestLegacyStormRestore covers checkpoints written by engines that
+// queued refresh-storm bursts as ordinary events: a state carrying a
+// pending "sim.force_refresh" entry must restore on one shard whatever
+// the requested count, fire the burst, and stay deterministic.
+func TestLegacyStormRestore(t *testing.T) {
+	cfg := config.Default()
+	cfg.Cores = 4
+	cfg.Policy.EpochLength = 2 * config.Millisecond
+	profile := trace.Profile{Name: "legacy", Phases: []trace.Phase{
+		{BaseCPI: 1, MPKI: 20, WPKI: 5, RowLocality: 0.5},
+	}}
+	profiles := []trace.Profile{profile, profile, profile, profile}
+	streams := func() []*trace.Stream { return buildConfinedStreams(t, &cfg, profiles, 3) }
+
+	src, err := New(cfg, streams(), Options{Governor: &ladderGovernor{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.StepEpoch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := src.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The legacy image: the boundary state plus one queued burst. A
+	// sorted entry array is a valid heap.
+	ck, err := src.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := ck.Events
+	ev.Seq++
+	ev.Scheduled++
+	ev.Nodes = append(ev.Nodes, event.NodeState{Gen: 1, Kind: "sim.force_refresh"})
+	ev.Heap = append(ev.Heap, event.EntryState{
+		At: ev.Now + config.Microsecond, Seq: ev.Seq, Idx: int32(len(ev.Nodes) - 1)})
+	sort.Slice(ev.Heap, func(a, b int) bool {
+		if ev.Heap[a].At != ev.Heap[b].At {
+			return ev.Heap[a].At < ev.Heap[b].At
+		}
+		return ev.Heap[a].Seq < ev.Heap[b].Seq
+	})
+
+	resume := func(st *SystemState, shards int) (Result, *System) {
+		t.Helper()
+		s, err := Restore(cfg, streams(), Options{Governor: &ladderGovernor{}, Shards: shards}, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.RunFor(2 * cfg.Policy.EpochLength), s
+	}
+	_, cleanSys := resume(clean, 4)
+	if got := cleanSys.ParallelShards(); got != 4 {
+		t.Fatalf("clean restore ran %d shards, want 4", got)
+	}
+	cleanRes, _ := resume(clean, 1)
+	first, s := resume(ck, 4)
+	if got := s.ParallelShards(); got != 1 {
+		t.Errorf("legacy restore ran %d shards, want 1", got)
+	}
+	after, err := s.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hasPendingForceRefresh(after.Events) {
+		t.Error("queued burst still pending after the run")
+	}
+	if first.Memory.Refresh <= cleanRes.Memory.Refresh {
+		t.Errorf("refresh energy %g J not above the burst-free restore's %g J", first.Memory.Refresh, cleanRes.Memory.Refresh)
+	}
+	second, _ := resume(ck, 4)
+	requireSameResult(t, first, second)
+	if first.Events != second.Events {
+		t.Errorf("restores fired %d and %d events", first.Events, second.Events)
+	}
 }

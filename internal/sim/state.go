@@ -84,8 +84,8 @@ func (s *System) registry(reqEnv func(env any) (int32, error), reqs []*memctrl.R
 	reg := event.NewRegistry()
 	s.MC.RegisterEvents(reg, reqEnv, reqs)
 	cpu.RegisterEvents(reg, s.Cores)
-	reg.RegisterBound("sim.force_refresh", s.onForceRefresh, nil,
-		func(int32) (event.Bound, any, error) { return s.onForceRefresh, nil, nil })
+	reg.RegisterBound("sim.force_refresh", s.forceRefreshEvent, nil,
+		func(int32) (event.Bound, any, error) { return s.forceRefreshEvent, nil, nil })
 	return reg
 }
 
@@ -155,16 +155,9 @@ func (s *System) Save() (*SystemState, error) {
 	tbl := memctrl.NewRequestTable()
 	mcState := s.MC.Save(tbl)
 	codec := s.registry(tbl.EncodeEnv, nil)
-	var evState *event.State
-	var err error
-	if s.shards != nil {
-		// The canonical merged image: the same serial-queue state a
-		// one-shard run would save, so the checkpoint restores under
-		// any shard count.
-		evState, err = s.shards.Save(codec)
-	} else {
-		evState, err = s.Q.Save(codec)
-	}
+	// The canonical merged image: the same queue state a one-shard run
+	// would save, so the checkpoint restores under any shard count.
+	evState, err := s.shards.Save(codec)
 	if err != nil {
 		return nil, err
 	}
@@ -224,10 +217,9 @@ func (s *System) Save() (*SystemState, error) {
 func Restore(cfg config.Config, streams []*trace.Stream, opts Options, st *SystemState) (*System, error) {
 	if st != nil && st.Events != nil && hasPendingForceRefresh(st.Events) {
 		// A checkpointed refresh-storm burst is a cross-shard event
-		// with no reserved tickets (it was saved by an engine predating
-		// the sharded one, or a serial run mid-storm); resume it on the
-		// serial engine, which replays it exactly as saved.
-		opts.DisableParallel = true
+		// queued by an engine that predates reserved tickets; resume it
+		// on one shard, whose queue replays it exactly as saved.
+		opts.Shards = 1
 	}
 	s, err := New(cfg, streams, opts)
 	if err != nil {
@@ -281,12 +273,7 @@ func (s *System) load(st *SystemState) error {
 	if err != nil {
 		return err
 	}
-	codec := s.registry(nil, reqs)
-	if s.shards != nil {
-		if err := s.shards.Load(st.Events, codec, s.shardOf(st.MC)); err != nil {
-			return err
-		}
-	} else if err := s.Q.Load(st.Events, codec); err != nil {
+	if err := s.shards.Load(st.Events, s.registry(nil, reqs), s.shardOf(st.MC)); err != nil {
 		return err
 	}
 

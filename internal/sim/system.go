@@ -187,77 +187,40 @@ type Options struct {
 	// exists for differential testing and debugging, not correctness.
 	DisableCoalescing bool
 
-	// Shards requests the sharded parallel event engine (DESIGN.md
-	// §4k/§4l): the memory channels — and the cores bound to them —
-	// split across up to Shards event queues that advance concurrently
-	// inside each conservative window. 0 or 1 runs the serial engine.
-	// Sharding engages only when it is provably bit-identical to the
-	// serial engine: the streams' channel-affinity sets must split into
-	// at least two confinement groups (connected components), and the
-	// governor must be uniform (not per-channel); otherwise the run
-	// silently falls back to serial. Telemetry is fully supported: the
-	// recorder's per-channel cells record lock-free inside windows and
-	// merge deterministically at window edges, so instrumented sharded
-	// runs export byte-identical streams to instrumented serial runs.
-	// The effective shard count is capped at the confinement-group
-	// count.
+	// Shards is the most event-engine shards the run may use
+	// (DESIGN.md §4k/§4l): the memory channels — and the cores bound to
+	// them — split across up to Shards event queues that advance
+	// concurrently inside each conservative window. 0 or 1 runs one
+	// shard. More than one shard engages only when it is provably
+	// bit-identical to one: the streams' channel-affinity sets must
+	// split into at least two confinement groups (connected
+	// components), and the governor must be uniform (not per-channel);
+	// otherwise the run silently uses one shard. Telemetry is fully
+	// supported: the recorder's per-channel cells record lock-free
+	// inside windows and merge deterministically at window edges. The
+	// effective shard count is capped at the confinement-group count.
 	Shards int
-
-	// ShardGranularity selects the confinement analysis the engine
-	// uses to partition channels into shards. "" (auto) and
-	// ShardByBank run the confinement-group analysis: streams'
-	// channel-affinity sets union into connected components — the
-	// finest sound partition, since banks of one channel share its bus
-	// and can never split (DESIGN.md §4l). ShardByChannel restricts to
-	// PR 9's strict per-channel sharding: every stream must be
-	// confined to a single channel, or the run falls back to serial.
-	ShardGranularity string
-
-	// DisableParallel forces the serial engine regardless of Shards —
-	// the differential switch mirroring DisableCoalescing.
-	DisableParallel bool
 }
 
-// ShardGranularity values for Options.ShardGranularity and the public
-// RunConfig knob.
-const (
-	// ShardByChannel requires every stream channel-confined (a
-	// partitioned mix) and shards channel-by-channel, exactly as PR 9.
-	ShardByChannel = "channel"
-
-	// ShardByBank is the finest sound granularity: confinement groups
-	// of channels (banks within a channel share the bus and collapse
-	// into its group). Interleaved placements that stripe applications
-	// across channel groups shard at group boundaries.
-	ShardByBank = "bank"
-)
-
 // planShards resolves the run's shard plan: the effective shard count
-// plus the channel→shard and core→shard bindings, or (1, nil, nil)
-// for the serial engine. The plan's proof obligations are DESIGN.md
-// §4k extended by §4l's confinement-group analysis: streams'
-// channel-affinity sets union into connected components, every
+// plus the channel→shard and core→shard bindings (all shard 0 when
+// one shard runs). The plan's proof obligations are DESIGN.md §4k
+// extended by §4l's confinement-group analysis: streams'
+// channel-affinity sets union into connected components — the finest
+// sound partition, since banks of one channel share its bus — every
 // component's channels and cores bind to one shard (so every event is
 // shard-local), and a uniform governor keeps the MC clock replicas
-// coherent. Telemetry no longer blocks eligibility — the recorder's
-// per-channel cells are shard-local and merge at window edges. Under
-// ShardByChannel the analysis restricts to PR 9's strict rule: every
-// stream must be confined to a single channel. A fully interleaved
-// placement (one component) falls back to serial: with zero lookahead
-// and global same-instant tie-breaks there is no sound split.
-func planShards(cfg *config.Config, streams []*trace.Stream, opts Options) (int, []int, []int) {
-	if opts.Shards <= 1 || opts.DisableParallel {
-		return 1, nil, nil
+// coherent. A fully interleaved placement (one component) runs on one
+// shard: with zero lookahead and global same-instant tie-breaks there
+// is no sound split.
+func planShards(cfg *config.Config, streams []*trace.Stream, opts Options) (n int, chShard, coreShard []int) {
+	chShard = make([]int, cfg.Channels)
+	coreShard = make([]int, len(streams))
+	if opts.Shards <= 1 {
+		return 1, chShard, coreShard
 	}
 	if _, perChannel := opts.Governor.(PerChannelGovernor); perChannel {
-		return 1, nil, nil
-	}
-	if opts.ShardGranularity == ShardByChannel {
-		for _, st := range streams {
-			if _, ok := st.HomeChannel(); !ok {
-				return 1, nil, nil
-			}
-		}
+		return 1, chShard, coreShard
 	}
 	// Union-find over channels: two channels shared by one stream's
 	// affinity set must land in the same shard. A stream with no
@@ -277,7 +240,7 @@ func planShards(cfg *config.Config, streams []*trace.Stream, opts Options) (int,
 	for _, st := range streams {
 		chs := st.Channels()
 		if len(chs) == 0 {
-			return 1, nil, nil
+			return 1, chShard, coreShard
 		}
 		for _, ch := range chs[1:] {
 			ra, rb := find(chs[0]), find(ch)
@@ -300,17 +263,12 @@ func planShards(cfg *config.Config, streams []*trace.Stream, opts Options) (int,
 		}
 	}
 	if ncomp < 2 {
-		return 1, nil, nil
+		return 1, chShard, coreShard
 	}
-	n := opts.Shards
-	if n > ncomp {
-		n = ncomp
-	}
-	chShard := make([]int, cfg.Channels)
+	n = min(opts.Shards, ncomp)
 	for ch := range chShard {
 		chShard[ch] = comp[find(ch)] % n
 	}
-	coreShard := make([]int, len(streams))
 	for i, st := range streams {
 		coreShard[i] = chShard[st.Channels()[0]]
 	}
@@ -319,7 +277,10 @@ func planShards(cfg *config.Config, streams []*trace.Stream, opts Options) (int,
 
 // System is one fully wired simulated server.
 type System struct {
-	Cfg    config.Config
+	Cfg config.Config
+
+	// Q is shard 0's event queue — the only queue of a one-shard run.
+	// Its clock equals every shard's at window edges.
 	Q      *event.Queue
 	MC     *memctrl.Controller
 	Cores  []*cpu.Core
@@ -340,25 +301,18 @@ type System struct {
 	// run either to completion (run) or one epoch at a time (StepEpoch).
 	step stepState
 
-	// onForceRefresh is the pre-bound refresh-storm callback, so storm
-	// bursts schedule without capturing a closure and a checkpoint can
-	// name the pending bursts.
-	onForceRefresh event.Bound
-
-	// shards is the sharded parallel event engine (nil when the serial
-	// engine is in force); chShard maps each memory channel to its
-	// owning shard and coreShard each core to the shard of its
-	// confinement group. Under the sharded engine s.Q aliases shard 0,
-	// whose clock equals every other shard's at window edges.
+	// shards is the event engine; chShard maps each memory channel to
+	// its owning shard and coreShard each core to the shard of its
+	// confinement group.
 	shards    *event.ShardSet
 	chShard   []int
 	coreShard []int
 
 	// pendingStorms holds refresh-storm bursts registered at an epoch
-	// edge but not yet fired. Under the sharded engine a burst touches
-	// every channel, so it lives outside any one shard's queue: its
-	// per-shard ordering tickets are reserved at registration and the
-	// burst fires at a cross-shard exchange point in stepShards.
+	// edge but not yet fired. A burst touches every channel, so it
+	// lives outside any one shard's queue: its per-shard ordering
+	// tickets are reserved at registration and the burst fires at a
+	// cross-shard exchange point in stepUntil.
 	pendingStorms []pendingStorm
 
 	// invEnergyJ is the invariant plane's energy witness: the running
@@ -386,9 +340,9 @@ type stepState struct {
 	idx       int
 }
 
-// pendingStorm is one registered-but-unfired refresh-storm burst under
-// the sharded engine: its fire time and the per-shard ordering tickets
-// reserved when it was registered.
+// pendingStorm is one registered-but-unfired refresh-storm burst: its
+// fire time and the per-shard ordering tickets reserved when it was
+// registered.
 type pendingStorm struct {
 	at      config.Time
 	tickets []event.Seq
@@ -403,17 +357,16 @@ func New(cfg config.Config, streams []*trace.Stream, opts Options) (*System, err
 		return nil, fmt.Errorf("sim: %d streams for %d cores", len(streams), cfg.Cores)
 	}
 	s := &System{Cfg: cfg, opts: opts}
-	if n, chShard, coreShard := planShards(&s.Cfg, streams, opts); n > 1 {
-		s.shards = event.NewShardSet(n)
-		s.chShard = chShard
-		s.coreShard = coreShard
-		s.Q = s.shards.Shard(0)
-	} else {
-		s.Q = &event.Queue{}
-	}
-	s.onForceRefresh = s.forceRefreshEvent
+	n, chShard, coreShard := planShards(&s.Cfg, streams, opts)
+	s.shards = event.NewShardSet(n)
+	s.chShard = chShard
+	s.coreShard = coreShard
+	s.Q = s.shards.Shard(0)
 	s.MC = memctrl.New(&s.Cfg, s.Q)
-	if s.shards != nil {
+	if n > 1 {
+		// Hand each channel to its shard. One shard keeps the controller
+		// on its single queue and shared MC clock, which per-channel
+		// governors need.
 		qs := make([]*event.Queue, s.Cfg.Channels)
 		for ch := range qs {
 			qs[ch] = s.shards.Shard(s.chShard[ch])
@@ -427,14 +380,10 @@ func New(cfg config.Config, streams []*trace.Stream, opts Options) (*System, err
 		s.Meter.SetTelemetry(opts.Telemetry)
 	}
 	for i, st := range streams {
-		q := s.Q
-		if s.shards != nil {
-			// The plan proved the stream confined to one confinement
-			// group; the core schedules on — and its data returns arrive
-			// via — that group's shard.
-			q = s.shards.Shard(s.coreShard[i])
-		}
-		s.Cores = append(s.Cores, cpu.New(i, &s.Cfg, q, s.MC, st))
+		// The plan proved the stream confined to one confinement group;
+		// the core schedules on — and its data returns arrive via — that
+		// group's shard.
+		s.Cores = append(s.Cores, cpu.New(i, &s.Cfg, s.shards.Shard(s.coreShard[i]), s.MC, st))
 	}
 	s.result.FreqTime = map[config.FreqMHz]config.Time{}
 	if s.opts.MaxDuration <= 0 {
@@ -500,15 +449,9 @@ func (s *System) SetFrequencyCap(f config.FreqMHz) error {
 func (s *System) FrequencyCap() config.FreqMHz { return s.capFreq }
 
 // ParallelShards reports how many shards the event engine actually
-// runs: the resolved count under the sharded engine, 1 when the serial
-// engine is in force — whether by request (Shards <= 1,
-// DisableParallel) or by eligibility fallback.
-func (s *System) ParallelShards() int {
-	if s.shards == nil {
-		return 1
-	}
-	return s.shards.Shards()
-}
+// runs: 1 when the run requested at most one shard or its workload or
+// governor cannot split, the resolved count otherwise.
+func (s *System) ParallelShards() int { return s.shards.Shards() }
 
 // flush closes the power interval at now, meters it, and returns it
 // alongside its energy breakdown.
@@ -584,10 +527,17 @@ func (s *System) RunForContext(ctx context.Context, d config.Time) (Result, erro
 // time while adding negligible overhead.
 const cancelCheckStep = 100 * config.Microsecond
 
-// stepUntil drains the event queue up to deadline, polling ctx every
-// cancelCheckStep of simulated time. Splitting RunUntil into chunks is
-// behavior-identical: events still fire in timestamp order, and the
-// clock lands exactly on deadline.
+// stepUntil is the engine's window loop: it drains every shard up to
+// deadline, polling ctx every cancelCheckStep of simulated time.
+// Splitting the drain into chunks is behavior-identical: events still
+// fire in (time, seq) order, and the clock lands exactly on deadline.
+// Each pending storm burst splits the drain at a cross-shard exchange
+// point; the stretches between are conservative windows the shards
+// advance concurrently. The quiesce horizon declared below — nothing
+// samples counters, power, or instruction state strictly before the
+// deadline — is exactly the no-cross-shard-interaction guarantee the
+// windows need, since every event inside a window is per-channel by
+// construction.
 func (s *System) stepUntil(ctx context.Context, deadline config.Time) error {
 	if !s.opts.DisableCoalescing {
 		// Between here and the deadline nothing samples counters, power,
@@ -597,50 +547,17 @@ func (s *System) stepUntil(ctx context.Context, deadline config.Time) error {
 		// result, so mid-chunk state is never observed either.
 		s.MC.SetQuiesceHorizon(deadline)
 	}
-	if s.shards != nil {
-		return s.stepShards(ctx, deadline)
-	}
-	if ctx.Done() == nil {
-		// No cancellation possible (context.Background()): skip the
-		// chunking entirely.
-		s.Q.RunUntil(deadline)
-		return nil
-	}
-	for {
-		next := s.Q.Now() + cancelCheckStep
-		if next > deadline {
-			next = deadline
-		}
-		s.Q.RunUntil(next)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if next >= deadline {
-			return nil
-		}
-	}
-}
-
-// stepShards is the sharded engine's window loop. Each pending storm
-// burst splits the drain at a cross-shard exchange point; the
-// stretches between are conservative windows the shards advance
-// concurrently. The quiesce horizon stepUntil just declared — nothing
-// samples counters, power, or instruction state strictly before the
-// deadline — is exactly the no-cross-shard-interaction guarantee the
-// windows need, since every event inside a window is per-channel by
-// construction.
-func (s *System) stepShards(ctx context.Context, deadline config.Time) error {
 	for len(s.pendingStorms) > 0 && s.pendingStorms[0].at <= deadline {
 		ps := s.pendingStorms[0]
 		s.pendingStorms = s.pendingStorms[1:]
 		s.shards.RunCross(ps.at, ps.tickets, func(now config.Time) { s.MC.ForceRefresh(now) })
-		if ctx.Done() != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 	}
 	if ctx.Done() == nil {
+		// No cancellation possible (context.Background()): skip the
+		// chunking entirely.
 		s.shards.RunUntil(deadline)
 		return nil
 	}
@@ -804,18 +721,12 @@ func (s *System) stepEpoch(ctx context.Context, wantRec bool) (EpochRecord, erro
 			tel.Fault(decisionAt, uint8(faults.KindRefreshStorm), int64(plan.StormBursts), 0)
 			spacing := 2 * s.MC.Timing().TRFC
 			for b := 0; b < plan.StormBursts; b++ {
-				at := decisionAt + config.Time(b)*spacing
-				if s.shards != nil {
-					// A burst refreshes every channel, so it is a
-					// cross-shard event: reserve its per-shard ordering
-					// tickets now, while the queues sit quiescent at the
-					// edge, and fire it at the exchange point in
-					// stepShards.
-					s.pendingStorms = append(s.pendingStorms,
-						pendingStorm{at: at, tickets: s.shards.ReserveTickets()})
-				} else {
-					s.Q.ScheduleBound(at, s.onForceRefresh, nil, 0, 0)
-				}
+				// A burst refreshes every channel, so it is a cross-shard
+				// event: reserve its per-shard ordering tickets now, while
+				// the queues sit quiescent at the edge, and fire it at the
+				// exchange point in stepUntil.
+				s.pendingStorms = append(s.pendingStorms, pendingStorm{
+					at: decisionAt + config.Time(b)*spacing, tickets: s.shards.ReserveTickets()})
 			}
 		}
 
@@ -1006,7 +917,8 @@ func (s *System) checkInvariants(start, epochEnd config.Time, p, ep Profile) err
 	return nil
 }
 
-// forceRefreshEvent is the bound form of one refresh-storm burst.
+// forceRefreshEvent is the queued form of one refresh-storm burst,
+// which only checkpoints from engines that queued bursts still carry.
 func (s *System) forceRefreshEvent(now config.Time, _ any, _, _ int32) {
 	s.MC.ForceRefresh(now)
 }
@@ -1101,9 +1013,6 @@ func (s *System) finalize() Result {
 	r.NonMemEnergy = s.opts.NonMemPower * now.Seconds()
 	r.DIMMAvgWatts = s.Meter.AverageDIMMPower()
 	r.MemAvgWatts = s.Meter.AveragePower()
-	r.Events = s.Q.Fired()
-	if s.shards != nil {
-		r.Events = s.shards.Fired()
-	}
+	r.Events = s.shards.Fired()
 	return *r
 }

@@ -59,21 +59,17 @@ type Mix struct {
 	PaperRPKI float64
 	PaperWPKI float64
 
-	// Partitioned selects OS page placement that confines each
-	// application to its own memory channel (PartitionedStreams instead
-	// of Streams). Partitioned variants are named "<base>/part" and
+	// Interleave is the OS page-placement group width K. Zero stripes
+	// every application across all channels (the paper's placement).
+	// K >= 1 gives application i its own K-channel group: channels
+	// [g*K, g*K+K) with g = i mod (Channels/K), its accesses
+	// interleaving freely inside the group. K = 1 is the
+	// channel-partitioned variant "<base>/part" (the Section 6
+	// future-work shape); K >= 2 is "<base>/ilv<K>". The groups never
+	// share a channel, so the sharded engine's confinement-group
+	// analysis (DESIGN.md §4l) parallelizes either. Variants are
 	// resolvable through ByName, so the name alone round-trips the
 	// placement through caches and checkpoints.
-	Partitioned bool
-
-	// Interleave, when K > 1, selects OS page placement that stripes
-	// each application across a K-channel group (InterleavedStreams):
-	// application i owns channels [g*K, g*K+K) with g = i mod
-	// (Channels/K). The accesses interleave freely inside the group —
-	// no stream is channel-confined — yet the groups never share a
-	// channel, so the sharded engine's confinement-group analysis
-	// (DESIGN.md §4l) still parallelizes the mix. Variants are named
-	// "<base>/ilv<K>" and resolvable through ByName.
 	Interleave int
 }
 
@@ -85,24 +81,23 @@ const PartitionedSuffix = "/part"
 // variant's name: "<base>/ilv<K>".
 const InterleavePrefix = "/ilv"
 
-// Partition returns the channel-partitioned variant of the mix: same
-// applications and traces, page placement confining application i to
+// Partition returns the channel-partitioned variant of the mix (K = 1):
+// same applications, page placement confining application i to
 // channel i mod Channels. Partitioning an already partitioned mix is a
 // no-op.
 func (m Mix) Partition() Mix {
-	if m.Partitioned {
+	if m.Interleave == 1 {
 		return m
 	}
-	m.Partitioned = true
+	m.Interleave = 1
 	m.Name += PartitionedSuffix
 	return m
 }
 
 // Interleaved returns the K-channel group-interleaved variant of the
-// mix: same applications and traces, page placement striping each
-// application across its own K-wide channel group. K must be at least
-// 2 (K = 1 is Partition). Interleaving an already placed mix is
-// rejected at stream instantiation.
+// mix: same applications, page placement striping each application
+// across its own K-wide channel group, replacing any earlier
+// placement. K must be at least 2 (K = 1 is Partition).
 func (m Mix) Interleaved(k int) Mix {
 	if m.Interleave == k {
 		return m
@@ -111,7 +106,6 @@ func (m Mix) Interleaved(k int) Mix {
 	if m.Interleave > 1 {
 		m.Name = strings.TrimSuffix(m.Name, fmt.Sprintf("%s%d", InterleavePrefix, m.Interleave))
 	}
-	m.Partitioned = false
 	m.Interleave = k
 	m.Name += fmt.Sprintf("%s%d", InterleavePrefix, k)
 	return m
@@ -119,18 +113,18 @@ func (m Mix) Interleaved(k int) Mix {
 
 // Mixes is Table 1 in program form.
 var Mixes = []Mix{
-	{"ILP1", ClassILP, [4]string{"vortex", "gcc", "sixtrack", "mesa"}, 0.37, 0.06, false, 0},
-	{"ILP2", ClassILP, [4]string{"perlbmk", "crafty", "gzip", "eon"}, 0.16, 0.01, false, 0},
-	{"ILP3", ClassILP, [4]string{"sixtrack", "mesa", "perlbmk", "crafty"}, 0.27, 0.01, false, 0},
-	{"ILP4", ClassILP, [4]string{"vortex", "mesa", "perlbmk", "crafty"}, 0.24, 0.06, false, 0},
-	{"MID1", ClassMID, [4]string{"ammp", "gap", "wupwise", "vpr"}, 1.72, 0.01, false, 0},
-	{"MID2", ClassMID, [4]string{"astar", "parser", "twolf", "facerec"}, 2.61, 0.09, false, 0},
-	{"MID3", ClassMID, [4]string{"apsi", "bzip2", "ammp", "gap"}, 2.41, 0.16, false, 0},
-	{"MID4", ClassMID, [4]string{"wupwise", "vpr", "astar", "parser"}, 2.11, 0.07, false, 0},
-	{"MEM1", ClassMEM, [4]string{"swim", "applu", "art", "lucas"}, 17.03, 3.03, false, 0},
-	{"MEM2", ClassMEM, [4]string{"fma3d", "mgrid", "galgel", "equake"}, 8.62, 0.25, false, 0},
-	{"MEM3", ClassMEM, [4]string{"swim", "applu", "galgel", "equake"}, 15.6, 3.71, false, 0},
-	{"MEM4", ClassMEM, [4]string{"art", "lucas", "mgrid", "fma3d"}, 8.96, 0.33, false, 0},
+	{"ILP1", ClassILP, [4]string{"vortex", "gcc", "sixtrack", "mesa"}, 0.37, 0.06, 0},
+	{"ILP2", ClassILP, [4]string{"perlbmk", "crafty", "gzip", "eon"}, 0.16, 0.01, 0},
+	{"ILP3", ClassILP, [4]string{"sixtrack", "mesa", "perlbmk", "crafty"}, 0.27, 0.01, 0},
+	{"ILP4", ClassILP, [4]string{"vortex", "mesa", "perlbmk", "crafty"}, 0.24, 0.06, 0},
+	{"MID1", ClassMID, [4]string{"ammp", "gap", "wupwise", "vpr"}, 1.72, 0.01, 0},
+	{"MID2", ClassMID, [4]string{"astar", "parser", "twolf", "facerec"}, 2.61, 0.09, 0},
+	{"MID3", ClassMID, [4]string{"apsi", "bzip2", "ammp", "gap"}, 2.41, 0.16, 0},
+	{"MID4", ClassMID, [4]string{"wupwise", "vpr", "astar", "parser"}, 2.11, 0.07, 0},
+	{"MEM1", ClassMEM, [4]string{"swim", "applu", "art", "lucas"}, 17.03, 3.03, 0},
+	{"MEM2", ClassMEM, [4]string{"fma3d", "mgrid", "galgel", "equake"}, 8.62, 0.25, 0},
+	{"MEM3", ClassMEM, [4]string{"swim", "applu", "galgel", "equake"}, 15.6, 3.71, 0},
+	{"MEM4", ClassMEM, [4]string{"art", "lucas", "mgrid", "fma3d"}, 8.96, 0.33, 0},
 }
 
 // ByName returns the named mix. A "<base>/part" name resolves to the
@@ -190,31 +184,68 @@ func ByClass(c Class) []Mix {
 func (m Mix) Assignment(core int) string { return m.Apps[core%len(m.Apps)] }
 
 // Streams instantiates the per-core access streams for this mix on a
-// machine with the given number of cores. Each (mix, app, core) tuple
-// gets a stable seed so runs are reproducible and policies see
+// machine with the given number of cores, each confined to its
+// application's channel group (see Interleave). Each (mix, app, core)
+// tuple gets a stable seed so runs are reproducible and policies see
 // identical traces.
 func (m Mix) Streams(cfg *config.Config) ([]*trace.Stream, error) {
-	if m.Partitioned {
-		return m.PartitionedStreams(cfg)
+	if k := m.Interleave; k < 0 || (k > 0 && cfg.Channels%k != 0) {
+		return nil, fmt.Errorf("mix %s: %d channels not divisible by interleave width %d", m.Name, cfg.Channels, k)
 	}
-	if m.Interleave > 1 {
-		return m.InterleavedStreams(cfg)
+	seed := m.seeder()
+	chans := make([][]int, len(m.Apps))
+	for appIdx := range chans {
+		chans[appIdx] = m.AppChannels(appIdx, cfg.Channels)
 	}
 	mapper := config.NewAddressMapper(cfg)
 	streams := make([]*trace.Stream, cfg.Cores)
 	for core := 0; core < cfg.Cores; core++ {
-		name := m.Assignment(core)
+		appIdx := core % len(m.Apps)
+		name := m.Apps[appIdx]
 		p, err := App(name)
 		if err != nil {
 			return nil, fmt.Errorf("mix %s: %w", m.Name, err)
 		}
-		s, err := trace.NewStream(p, mapper, trace.Seed(m.Name, name, core))
+		s, err := trace.NewStreamOnChannels(p, mapper, seed(name, core), chans[appIdx])
 		if err != nil {
 			return nil, fmt.Errorf("mix %s core %d: %w", m.Name, core, err)
 		}
 		streams[core] = s
 	}
 	return streams, nil
+}
+
+// AppChannels returns the channel-affinity set of the mix's
+// application appIdx on a machine with the given channel count: nil
+// (every channel) under the paper's placement, otherwise the
+// application's K-channel group. channels must be a multiple of K.
+func (m Mix) AppChannels(appIdx, channels int) []int {
+	k := m.Interleave
+	if k == 0 {
+		return nil
+	}
+	g := appIdx % (channels / k)
+	out := make([]int, k)
+	for j := range out {
+		out[j] = g*k + j
+	}
+	return out
+}
+
+// seeder returns the per-core trace seed function. A placed variant
+// seeds from its base name in its own namespace ("part" for K = 1,
+// "ilv"/K above), so every placement draws its own trace realization.
+func (m Mix) seeder() func(app string, core int) uint64 {
+	switch k := m.Interleave; k {
+	case 0:
+		return func(app string, core int) uint64 { return trace.Seed(m.Name, app, core) }
+	case 1:
+		base := strings.TrimSuffix(m.Name, PartitionedSuffix)
+		return func(app string, core int) uint64 { return trace.Seed(base, "part", app, core) }
+	default:
+		base := strings.TrimSuffix(m.Name, fmt.Sprintf("%s%d", InterleavePrefix, k))
+		return func(app string, core int) uint64 { return trace.Seed(base, "ilv", k, app, core) }
+	}
 }
 
 // Table1Instructions is the per-application trace length of the paper
@@ -239,78 +270,6 @@ func appRateOver(p trace.Profile, instructions uint64, rate func(trace.Phase) fl
 		}
 	}
 	return weighted / float64(instructions)
-}
-
-// PartitionedStreams instantiates the mix with OS page placement that
-// confines each application to its own memory channel (application i
-// of the mix maps to channel i mod Channels). This is the workload
-// shape for the paper's Section 6 future work: with heterogeneous
-// per-channel load, per-channel frequency selection has room that
-// uniform scaling does not.
-func (m Mix) PartitionedStreams(cfg *config.Config) ([]*trace.Stream, error) {
-	mapper := config.NewAddressMapper(cfg)
-	// Seed from the base name so a mix and its Partition() variant draw
-	// identical traces — placement, not content, is what differs.
-	base := strings.TrimSuffix(m.Name, PartitionedSuffix)
-	streams := make([]*trace.Stream, cfg.Cores)
-	for core := 0; core < cfg.Cores; core++ {
-		appIdx := core % len(m.Apps)
-		name := m.Apps[appIdx]
-		p, err := App(name)
-		if err != nil {
-			return nil, fmt.Errorf("mix %s: %w", m.Name, err)
-		}
-		channels := []int{appIdx % cfg.Channels}
-		s, err := trace.NewStreamOnChannels(p, mapper, trace.Seed(base, "part", name, core), channels)
-		if err != nil {
-			return nil, fmt.Errorf("mix %s core %d: %w", m.Name, core, err)
-		}
-		streams[core] = s
-	}
-	return streams, nil
-}
-
-// InterleavedStreams instantiates the mix with OS page placement that
-// stripes each application across its own K-wide channel group:
-// application i of the mix owns channels [g*K, g*K+K) with
-// g = i mod (Channels/K), and its accesses interleave freely across
-// all K. No stream is channel-confined (the /part precondition), yet
-// the groups partition the channels, so the confinement-group shard
-// analysis still splits the run into Channels/K parallel shards. The
-// channel count must be a multiple of K.
-func (m Mix) InterleavedStreams(cfg *config.Config) ([]*trace.Stream, error) {
-	k := m.Interleave
-	if k < 2 {
-		return nil, fmt.Errorf("mix %s: interleave width %d must be >= 2", m.Name, k)
-	}
-	if cfg.Channels%k != 0 {
-		return nil, fmt.Errorf("mix %s: %d channels not divisible by interleave width %d", m.Name, cfg.Channels, k)
-	}
-	groups := cfg.Channels / k
-	mapper := config.NewAddressMapper(cfg)
-	// Seed from the base name with an "ilv"/K namespace so the variant
-	// draws its own trace realization, distinct from /part's.
-	base := strings.TrimSuffix(m.Name, fmt.Sprintf("%s%d", InterleavePrefix, k))
-	streams := make([]*trace.Stream, cfg.Cores)
-	for core := 0; core < cfg.Cores; core++ {
-		appIdx := core % len(m.Apps)
-		name := m.Apps[appIdx]
-		p, err := App(name)
-		if err != nil {
-			return nil, fmt.Errorf("mix %s: %w", m.Name, err)
-		}
-		g := appIdx % groups
-		channels := make([]int, k)
-		for j := range channels {
-			channels[j] = g*k + j
-		}
-		s, err := trace.NewStreamOnChannels(p, mapper, trace.Seed(base, "ilv", k, name, core), channels)
-		if err != nil {
-			return nil, fmt.Errorf("mix %s core %d: %w", m.Name, core, err)
-		}
-		streams[core] = s
-	}
-	return streams, nil
 }
 
 // ExpectedRPKI returns the mix's aggregate read-miss rate over the

@@ -127,33 +127,23 @@ type RunConfig struct {
 
 	// Partitioned confines each application of the mix to its own
 	// memory channel (OS page placement; application i maps to channel
-	// i mod Channels). Partitioned runs draw the same per-core traces
-	// as the unpartitioned mix — placement, not content, differs — and
-	// give the sharded parallel engine its finest partition (one shard
-	// per channel). Sharding no longer requires it: any workload whose
+	// i mod Channels). Partitioned runs draw their per-core traces from
+	// a seed namespace of their own and give the sharded parallel
+	// engine its finest partition (one shard per channel). Sharding no longer requires it: any workload whose
 	// channel-affinity sets split into more than one confinement group
 	// parallelizes (see Shards).
 	Partitioned bool
 
-	// Shards, when > 1, runs the simulation (managed run and baseline
-	// alike) on the sharded parallel event engine: up to Shards event
-	// queues advance concurrently inside conservative time windows,
-	// producing results — telemetry included — bit-identical to the
-	// serial engine. The engine partitions channels into confinement
-	// groups from the mix's placement (per-channel for partitioned
-	// mixes, per channel group for interleaved "<mix>/ilvK" variants)
-	// and falls back to serial when fewer than two groups exist or the
-	// governor is per-channel. 0 or 1 selects the serial engine. Must
-	// not exceed the channel count.
+	// Shards, when > 1, lets the simulation (managed run and baseline
+	// alike) run on up to Shards event queues that advance concurrently
+	// inside conservative time windows, producing results — telemetry
+	// included — bit-identical to one shard. The engine partitions
+	// channels into confinement groups from the mix's placement
+	// (per-channel for partitioned mixes, per channel group for
+	// interleaved "<mix>/ilvK" variants) and runs one shard when fewer
+	// than two groups exist or the governor is per-channel. 0 or 1
+	// selects one shard. Must not exceed the channel count.
 	Shards int
-
-	// ShardGranularity selects how the engine partitions the workload
-	// when Shards > 1: "" and "bank" run the confinement-group analysis
-	// (the finest sound granularity — banks of one channel share the
-	// bus, so a channel is never split), "channel" restricts sharding
-	// to fully channel-confined workloads (every stream pinned to one
-	// channel), the pre-1.3 rule.
-	ShardGranularity string
 
 	// Timeline retains per-epoch frequency/CPI records.
 	Timeline bool
@@ -334,12 +324,6 @@ func (rc RunConfig) Validate() error {
 				ErrInvalidConfig, ch, rc.Shards)
 		}
 	}
-	switch rc.ShardGranularity {
-	case "", "channel", "bank":
-	default:
-		return fmt.Errorf("%w: shard_granularity: must be \"\", %q, or %q, got %q",
-			ErrInvalidConfig, "channel", "bank", rc.ShardGranularity)
-	}
 	if err := rc.Faults.validate("faults"); err != nil {
 		return err
 	}
@@ -452,17 +436,16 @@ func (rc RunConfig) job() (runner.Job, error) {
 		return runner.Job{}, err
 	}
 	return runner.Job{
-		Mix:              mix,
-		Spec:             spec,
-		Epochs:           rc.Epochs,
-		Gamma:            rc.Gamma,
-		Cores:            rc.Cores,
-		Channels:         rc.Channels,
-		Shards:           rc.Shards,
-		ShardGranularity: rc.ShardGranularity,
-		Timeline:         rc.Timeline,
-		Telemetry:        rc.Telemetry.options(),
-		Faults:           rc.Faults.internal(),
+		Mix:       mix,
+		Spec:      spec,
+		Epochs:    rc.Epochs,
+		Gamma:     rc.Gamma,
+		Cores:     rc.Cores,
+		Channels:  rc.Channels,
+		Shards:    rc.Shards,
+		Timeline:  rc.Timeline,
+		Telemetry: rc.Telemetry.options(),
+		Faults:    rc.Faults.internal(),
 	}, nil
 }
 

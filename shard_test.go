@@ -152,8 +152,7 @@ func TestShardTelemetryParity(t *testing.T) {
 // TestBankShardParity covers the confinement-group analysis on
 // unpartitioned workloads. The "/ilv2" interleaved variants stripe
 // each application across a 2-channel group — no stream is
-// channel-confined, so PR 9's strict rule would refuse them — yet the
-// groups never share a channel, so the engine finds two confinement
+// channel-confined — yet the groups never share a channel, so the engine finds two confinement
 // groups and shards at their boundary, bit-identical to serial. The
 // plain mixes interleave every stream across all channels (one
 // component) and must fall back to serial with identical results.
@@ -205,22 +204,12 @@ func TestBankShardParity(t *testing.T) {
 		}
 		sameBits(t, "fallback", serial, got)
 	})
-	t.Run("granularity channel refuses interleaved", func(t *testing.T) {
-		t.Parallel()
-		rc := RunConfig{Mix: "MEM1/ilv2", Policy: "MemScale", Epochs: 2,
-			Shards: 2, ShardGranularity: "channel"}
-		got, err := RunContext(ctx, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.EngineShards != 1 {
-			t.Errorf("EngineShards = %d, want 1 (strict per-channel rule requires channel-confined streams)", got.EngineShards)
-		}
-	})
 	t.Run("granularity bank engages interleaved", func(t *testing.T) {
 		t.Parallel()
-		rc := RunConfig{Mix: "MEM1/ilv2", Policy: "MemScale", Epochs: 2,
-			Shards: 2, ShardGranularity: "bank"}
+		// Banks of one channel share its bus, so the confinement-group
+		// analysis is the finest granularity: each 2-channel group of
+		// MEM1/ilv2 becomes a shard.
+		rc := RunConfig{Mix: "MEM1/ilv2", Policy: "MemScale", Epochs: 2, Shards: 2}
 		got, err := RunContext(ctx, rc)
 		if err != nil {
 			t.Fatal(err)
@@ -243,8 +232,6 @@ func TestShardValidate(t *testing.T) {
 		{"negative", RunConfig{Mix: "MID1", Shards: -1}, "shards"},
 		{"exceeds default channels", RunConfig{Mix: "MID1", Shards: 5}, "shards"},
 		{"exceeds explicit channels", RunConfig{Mix: "MID1", Channels: 2, Shards: 3}, "shards"},
-		{"unknown granularity", RunConfig{Mix: "MID1", ShardGranularity: "rank"}, "shard_granularity"},
-		{"misspelled granularity", RunConfig{Mix: "MID1", ShardGranularity: "Channel"}, "shard_granularity"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -263,26 +250,6 @@ func TestShardValidate(t *testing.T) {
 		rc := RunConfig{Mix: "MID1", Shards: 4}
 		if err := rc.Validate(); err != nil {
 			t.Fatalf("Validate() = %v, want nil", err)
-		}
-	})
-	t.Run("known granularities are valid", func(t *testing.T) {
-		for _, g := range []string{"", "channel", "bank"} {
-			rc := RunConfig{Mix: "MID1", Shards: 2, ShardGranularity: g}
-			if err := rc.Validate(); err != nil {
-				t.Fatalf("granularity %q: Validate() = %v, want nil", g, err)
-			}
-		}
-	})
-	t.Run("fleet unknown core split", func(t *testing.T) {
-		fc := FleetConfig{CoreSplit: "ranks", Groups: []NodeGroup{{Nodes: 1, Mix: "MID1"}}}
-		requireInvalid(t, fc.Validate(), "core_split")
-	})
-	t.Run("fleet known core splits are valid", func(t *testing.T) {
-		for _, cs := range []string{"", "auto", "nodes", "shards"} {
-			fc := FleetConfig{CoreSplit: cs, Groups: []NodeGroup{{Nodes: 1, Mix: "MID1"}}}
-			if err := fc.Validate(); err != nil {
-				t.Fatalf("core split %q: Validate() = %v, want nil", cs, err)
-			}
 		}
 	})
 }

@@ -135,11 +135,11 @@ func TestWarmStartValidateFieldPaths(t *testing.T) {
 			return err
 		}, "zero warm-up group key"},
 		{"checkpoint epoch beyond run", func() error {
-			_, err := CheckpointRun(ctx, runs[0], 99, io.Discard)
+			_, err := CheckpointRun(ctx, runs[0], 99, nil, io.Discard)
 			return err
 		}, "checkpoint.at_epoch"},
 		{"negative checkpoint epoch", func() error {
-			_, err := CheckpointRun(ctx, runs[0], -1, io.Discard)
+			_, err := CheckpointRun(ctx, runs[0], -1, nil, io.Discard)
 			return err
 		}, "checkpoint.at_epoch"},
 	}
