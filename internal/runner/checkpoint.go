@@ -9,7 +9,6 @@ import (
 
 	"memscale/internal/checkpoint"
 	"memscale/internal/config"
-	"memscale/internal/faults"
 	"memscale/internal/invariant"
 	"memscale/internal/policies"
 	"memscale/internal/sim"
@@ -169,216 +168,28 @@ func (e *Engine) RunEachWarm(ctx context.Context, jobs []Job, prefixEpochs int) 
 
 	// Phase 2: every job forks from its snapshot (or reports its
 	// validation/prefix error) on the same worker pool.
-	outs := make([]Outcome, len(jobs))
-	var onDone func(done, i int, err error)
-	if e.onResult != nil {
-		onDone = func(done, i int, err error) {
-			e.onResult(Progress{
-				Done: done, Total: len(jobs), Index: i,
-				Job: jobs[i], Outcome: outs[i], Err: err,
-			})
-		}
-	}
-	errs := ForEach(ctx, e.workers, len(jobs), func(ctx context.Context, i int) error {
+	return e.each(ctx, jobs, func(ctx context.Context, i int) (Outcome, error) {
 		if preErr[i] != nil {
-			return preErr[i]
+			return Outcome{}, preErr[i]
 		}
-		var err error
-		outs[i], err = e.Run(ctx, warmed[i])
-		return err
-	}, onDone)
-	return outs, errs
+		return e.Run(ctx, warmed[i])
+	})
 }
 
 // RunWithCheckpoint is Run with a mid-flight snapshot: the managed run
-// executes epoch by epoch, captures its full state after ckEpoch
-// epochs, and continues to job.Epochs. The returned checkpoint carries
-// everything Resume needs — meta identifying the run, both
-// configurations, and the state image — and the outcome is
-// bit-identical to a plain Run of the same job (StepEpoch-driven runs
-// reproduce RunFor's event sequence exactly).
-func (e *Engine) RunWithCheckpoint(ctx context.Context, job Job, ckEpoch int) (out Outcome, ck *checkpoint.Checkpoint, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, ck, err = Outcome{}, nil, &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-
-	if err := ctx.Err(); err != nil {
-		return Outcome{}, nil, err
-	}
-	if job.Epochs <= 0 {
-		return Outcome{}, nil, fmt.Errorf("runner: job epochs must be positive, got %d", job.Epochs)
-	}
+// captures its full state after ckEpoch epochs and continues to
+// job.Epochs. The returned checkpoint carries everything Resume needs —
+// meta identifying the run, both configurations, and the state image —
+// and the outcome is bit-identical to a plain Run of the same job (both
+// step the same epoch loop). Unlike Run, it honours job.Interrupt.
+func (e *Engine) RunWithCheckpoint(ctx context.Context, job Job, ckEpoch int) (Outcome, *checkpoint.Checkpoint, error) {
 	if ckEpoch <= 0 || ckEpoch > job.Epochs {
 		return Outcome{}, nil, fmt.Errorf("runner: checkpoint epoch %d outside run length [1,%d]", ckEpoch, job.Epochs)
 	}
 	if job.Warm != nil {
 		return Outcome{}, nil, errors.New("runner: checkpointing a warm-started job is not supported")
 	}
-	retries := 0
-	if job.Faults != nil {
-		if err := job.Faults.Validate(); err != nil {
-			return Outcome{}, nil, fmt.Errorf("runner: %w", err)
-		}
-		retries = job.Faults.WithDefaults().MaxRunRetries
-	}
-
-	cfg, baseCfg := jobConfig(job)
-	base, nonMem, err := e.cache.Baseline(ctx, baseCfg, job.Mix, job.Epochs, job.Shards)
-	if err != nil {
-		return Outcome{}, nil, err
-	}
-
-	var aborts uint64
-	for attempt := 0; ; attempt++ {
-		out, snap, snapEpochs, err := e.runCheckpointAttempt(ctx, job, cfg, nonMem, attempt, ckEpoch)
-		if err == nil || errors.Is(err, ErrInterrupted) {
-			ck := &checkpoint.Checkpoint{
-				Meta: checkpoint.Meta{
-					Mix:     job.Mix.Name,
-					Policy:  job.Spec.Name,
-					Gamma:   cfg.Policy.Gamma,
-					NonMem:  nonMem,
-					Epochs:  snapEpochs,
-					Faults:  job.Faults,
-					Attempt: attempt,
-				},
-				Config: cfg,
-				Base:   baseCfg,
-				State:  snap,
-			}
-			if err != nil {
-				// Interrupted: the checkpoint carries the boundary the
-				// run stopped on; there is no finished outcome to pair.
-				return Outcome{}, ck, err
-			}
-			out.Mix, out.Policy = job.Mix, job.Spec.Name
-			out.NonMem, out.Base = nonMem, base
-			out.Attempts = attempt + 1
-			out.Res.Faults.TransientAborts += aborts
-			return out, ck, nil
-		}
-		if !errors.Is(err, faults.ErrTransient) || attempt >= retries || ctx.Err() != nil {
-			return Outcome{}, nil, err
-		}
-		aborts++
-	}
-}
-
-// runCheckpointAttempt is runAttempt driven through StepEpoch so the
-// state can be captured at the ckEpoch boundary mid-run (or, when
-// Job.Interrupt fires, at whatever epoch boundary the run stopped on —
-// reported through the returned completed-epoch count alongside
-// ErrInterrupted).
-func (e *Engine) runCheckpointAttempt(ctx context.Context, job Job, cfg config.Config, nonMem float64, attempt, ckEpoch int) (Outcome, *sim.SystemState, int, error) {
-	timeout := job.Timeout
-	if timeout <= 0 {
-		timeout = e.jobTimeout
-	}
-	parent := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	var inj *faults.Injector
-	if job.Faults != nil {
-		var err error
-		if inj, err = faults.New(*job.Faults, attempt); err != nil {
-			return Outcome{}, nil, 0, fmt.Errorf("runner: %w", err)
-		}
-	}
-	streams, err := job.Mix.Streams(&cfg)
-	if err != nil {
-		return Outcome{}, nil, 0, err
-	}
-	var gov sim.Governor
-	if job.Spec.Governor != nil {
-		gov = job.Spec.Governor(&cfg, nonMem)
-	}
-	var rec *telemetry.Recorder
-	if job.Telemetry != nil {
-		rec = telemetry.NewRecorder(*job.Telemetry)
-		rec.NonMemPowerW.Set(nonMem)
-		rec.GammaBound.Set(cfg.Policy.Gamma)
-	}
-	s, err := sim.New(cfg, streams, sim.Options{
-		Governor:     gov,
-		NonMemPower:  nonMem,
-		KeepTimeline: job.Timeline,
-		Telemetry:    rec,
-		Faults:       inj,
-		Shards:       job.Shards,
-	})
-	if err != nil {
-		return Outcome{}, nil, 0, err
-	}
-
-	target := config.Time(job.Epochs) * cfg.Policy.EpochLength
-	// Mirror the sim's MaxDuration safety net (Options.MaxDuration
-	// defaults to 2 s in sim.New) so the epoch loop stops exactly where
-	// RunForContext would.
-	maxDur := 2 * config.Second
-	var snap *sim.SystemState
-	for {
-		rec, err := s.StepEpoch(ctx)
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-				return Outcome{}, nil, 0, fmt.Errorf("runner: job exceeded %v watchdog: %w", timeout, ErrJobTimeout)
-			}
-			return Outcome{}, nil, 0, err
-		}
-		if rec.Index+1 == ckEpoch {
-			if snap, err = s.Save(); err != nil {
-				return Outcome{}, nil, 0, fmt.Errorf("runner: checkpoint save: %w", err)
-			}
-		}
-		if rec.End >= target || rec.End >= maxDur {
-			break
-		}
-		// Soft stop: finish the epoch just stepped, capture the state at
-		// this boundary, and hand it back as the final checkpoint.
-		select {
-		case <-job.Interrupt:
-			snap, err = s.Save()
-			if err != nil {
-				return Outcome{}, nil, 0, fmt.Errorf("runner: interrupt checkpoint save: %w", err)
-			}
-			return Outcome{}, snap, rec.Index + 1, ErrInterrupted
-		default:
-		}
-	}
-	res := s.Finalize()
-	if snap == nil {
-		return Outcome{}, nil, 0, fmt.Errorf("runner: run ended before checkpoint epoch %d", ckEpoch)
-	}
-
-	out := Outcome{Res: res, Shards: s.ParallelShards()}
-	if rec != nil {
-		apps := make([]string, cfg.Cores)
-		for i := range apps {
-			apps[i] = job.Mix.Assignment(i)
-		}
-		freqSeconds := make(map[int]float64, len(res.FreqTime))
-		for f, t := range res.FreqTime {
-			freqSeconds[int(f)] = t.Seconds()
-		}
-		out.Telemetry = rec.Export(telemetry.RunMeta{
-			Mix:          job.Mix.Name,
-			Policy:       job.Spec.Name,
-			Gamma:        cfg.Policy.Gamma,
-			Cores:        cfg.Cores,
-			Channels:     cfg.Channels,
-			CoreApps:     apps,
-			NonMemPowerW: nonMem,
-		}, freqSeconds)
-		if err := rec.SinkErr(); err != nil {
-			return Outcome{}, nil, 0, fmt.Errorf("runner: telemetry sink: %w", err)
-		}
-	}
-	return out, snap, ckEpoch, nil
+	return e.execute(ctx, job, nil, ckEpoch)
 }
 
 // ResumeJob describes how to continue a checkpointed run.
@@ -411,20 +222,11 @@ type ResumeJob struct {
 // governor, same configuration, same fault schedule) — the crash
 // recovery counterpart to the fault plane's panic isolation.
 //
-// One caveat mirrors cold-run retry semantics: a transient fault
-// aborting the resumed portion retries from the checkpoint (not from
-// epoch zero) under the next attempt's schedule, so a resume that
-// aborts is not bit-identical to a cold run that aborts.
-func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (out Outcome, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = Outcome{}, &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-
-	if err := ctx.Err(); err != nil {
-		return Outcome{}, err
-	}
+// The resumed portion runs the container's fault schedule from the
+// container's attempt number, and Outcome.Attempts counts from there.
+// Transient aborts are drawn at epoch 0 only, which a resume never
+// re-runs, so a resumed portion completes on its first attempt.
+func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (Outcome, error) {
 	ck := rj.Checkpoint
 	if ck == nil || ck.State == nil {
 		return Outcome{}, errors.New("runner: resume requires a checkpoint with state")
@@ -451,121 +253,11 @@ func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (out Outcome, err err
 			return Outcome{}, fmt.Errorf("runner: resume: %w", err)
 		}
 	}
-	retries := 0
-	if ck.Meta.Faults != nil {
-		if err := ck.Meta.Faults.Validate(); err != nil {
-			return Outcome{}, fmt.Errorf("runner: %w", err)
-		}
-		retries = ck.Meta.Faults.WithDefaults().MaxRunRetries
-	}
-
-	base, nonMem, err := e.cache.Baseline(ctx, ck.Base, mix, rj.Epochs, rj.Shards)
-	if err != nil {
-		return Outcome{}, err
-	}
-
-	var aborts uint64
-	first := ck.Meta.Attempt
-	for attempt := first; ; attempt++ {
-		out, err := e.resumeAttempt(ctx, rj, spec, mix, attempt)
-		if err == nil {
-			out.Mix, out.Policy = mix, ck.Meta.Policy
-			out.NonMem, out.Base = nonMem, base
-			out.Attempts = attempt - first + 1
-			out.Res.Faults.TransientAborts += aborts
-			return out, nil
-		}
-		if !errors.Is(err, faults.ErrTransient) || attempt-first >= retries || ctx.Err() != nil {
-			return Outcome{}, err
-		}
-		aborts++
-	}
-}
-
-// resumeAttempt restores one attempt from the checkpoint and runs it
-// to rj.Epochs total. The governor is rebuilt through the spec's
-// constructor with the checkpoint's calibrated non-memory power —
-// matching how the original run built it — and then loaded with the
-// saved governor state by sim.Restore.
-func (e *Engine) resumeAttempt(ctx context.Context, rj ResumeJob, spec policies.Spec, mix workload.Mix, attempt int) (Outcome, error) {
-	ck := rj.Checkpoint
-	timeout := rj.Timeout
-	if timeout <= 0 {
-		timeout = e.jobTimeout
-	}
-	parent := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	var inj *faults.Injector
-	if ck.Meta.Faults != nil {
-		var err error
-		if inj, err = faults.New(*ck.Meta.Faults, attempt); err != nil {
-			return Outcome{}, fmt.Errorf("runner: %w", err)
-		}
-	}
-	// ck.Config is already post-Configure; the spec's Configure hook
-	// must not run again.
-	cfg := ck.Config
-	streams, err := mix.Streams(&cfg)
-	if err != nil {
-		return Outcome{}, err
-	}
-	var gov sim.Governor
-	if spec.Governor != nil {
-		gov = spec.Governor(&cfg, ck.Meta.NonMem)
-	}
-	var rec *telemetry.Recorder
-	if rj.Telemetry != nil {
-		rec = telemetry.NewRecorder(*rj.Telemetry)
-		rec.NonMemPowerW.Set(ck.Meta.NonMem)
-		rec.GammaBound.Set(cfg.Policy.Gamma)
-	}
-	s, err := sim.Restore(cfg, streams, sim.Options{
-		Governor:     gov,
-		NonMemPower:  ck.Meta.NonMem,
-		KeepTimeline: rj.Timeline,
-		Telemetry:    rec,
-		Faults:       inj,
-		Shards:       rj.Shards,
-	}, ck.State)
-	if err != nil {
-		return Outcome{}, err
-	}
-	res, err := s.RunForContext(ctx, config.Time(rj.Epochs)*cfg.Policy.EpochLength)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-			return Outcome{}, fmt.Errorf("runner: job exceeded %v watchdog: %w", timeout, ErrJobTimeout)
-		}
-		return Outcome{}, err
-	}
-	out := Outcome{Res: res, Shards: s.ParallelShards()}
-	if rec != nil {
-		apps := make([]string, cfg.Cores)
-		for i := range apps {
-			apps[i] = mix.Assignment(i)
-		}
-		freqSeconds := make(map[int]float64, len(res.FreqTime))
-		for f, t := range res.FreqTime {
-			freqSeconds[int(f)] = t.Seconds()
-		}
-		out.Telemetry = rec.Export(telemetry.RunMeta{
-			Mix:          mix.Name,
-			Policy:       ck.Meta.Policy,
-			Gamma:        cfg.Policy.Gamma,
-			Cores:        cfg.Cores,
-			Channels:     cfg.Channels,
-			CoreApps:     apps,
-			NonMemPowerW: ck.Meta.NonMem,
-		}, freqSeconds)
-		if err := rec.SinkErr(); err != nil {
-			return Outcome{}, fmt.Errorf("runner: telemetry sink: %w", err)
-		}
-	}
-	return out, nil
+	out, _, err := e.execute(ctx, Job{
+		Mix: mix, Spec: spec, Epochs: rj.Epochs, Shards: rj.Shards,
+		Timeline: rj.Timeline, Telemetry: rj.Telemetry, Faults: ck.Meta.Faults, Timeout: rj.Timeout,
+	}, ck, 0)
+	return out, err
 }
 
 // WarmGroups reports how many distinct warm-up prefixes a job set

@@ -12,23 +12,68 @@ import (
 	"memscale/internal/policies"
 )
 
+// entryPoints are the public ways into the shared run pipeline; the
+// hardening tests drive every one of them through runVia.
+var entryPoints = []string{"Run", "RunWithCheckpoint", "Resume"}
+
+// containerAttempt is the attempt number the Resume entry point's
+// containers record, so a resume's retries visibly count from it.
+const containerAttempt = 1
+
+// runVia runs job on a fresh engine with opts through one entry point:
+// Run; RunWithCheckpoint at epoch 1; or Resume to job.Epochs+1 of a
+// checkpoint taken after job.Epochs epochs of an undisturbed copy of
+// the job (no Faults or Timeout). The resume applies the job's Faults
+// and Timeout to its resumed portion, starting at attempt
+// containerAttempt.
+func runVia(ctx context.Context, t *testing.T, entry string, opts Options, job Job) (Outcome, error) {
+	t.Helper()
+	eng := New(opts)
+	switch entry {
+	case "Run":
+		return eng.Run(ctx, job)
+	case "RunWithCheckpoint":
+		out, _, err := eng.RunWithCheckpoint(ctx, job, 1)
+		return out, err
+	}
+	clean := job
+	clean.Faults, clean.Timeout = nil, 0
+	_, ck, err := New(Options{Workers: 1}).RunWithCheckpoint(context.Background(), clean, clean.Epochs)
+	if err != nil {
+		t.Fatalf("checkpoint for resume: %v", err)
+	}
+	ck.Meta.Faults, ck.Meta.Attempt = job.Faults, containerAttempt
+	return eng.Resume(ctx, ResumeJob{Checkpoint: ck, Epochs: job.Epochs + 1, Timeout: job.Timeout})
+}
+
 func TestRunRecoversMutatePanic(t *testing.T) {
-	job := smallJob(t, "ILP2", policies.FastPD)
-	job.Mutate = func(*config.Config) { panic("poisoned config hook") }
-	eng := New(Options{Workers: 1})
-	_, err := eng.Run(context.Background(), job)
-	if !errors.Is(err, ErrRunPanicked) {
-		t.Fatalf("err = %v, want ErrRunPanicked", err)
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err %T does not unwrap to *PanicError", err)
-	}
-	if pe.Value != "poisoned config hook" {
-		t.Errorf("panic value = %v", pe.Value)
-	}
-	if len(pe.Stack) == 0 || !bytes.Contains(pe.Stack, []byte("goroutine")) {
-		t.Errorf("panic stack missing: %q", pe.Stack)
+	for _, entry := range entryPoints {
+		t.Run(entry, func(t *testing.T) {
+			job := smallJob(t, "ILP2", policies.FastPD)
+			var want any = "poisoned config hook"
+			job.Mutate = func(*config.Config) { panic(want) }
+			if entry == "Resume" {
+				// A resume takes its configuration from the container and
+				// never runs Mutate: poison its resumed epoch instead.
+				job.Mutate = nil
+				job.Faults = &faults.Config{Seed: 1, PanicEnabled: true, PanicEpoch: 1}
+				want = faults.InjectedPanic{Epoch: 1}
+			}
+			_, err := runVia(context.Background(), t, entry, Options{Workers: 1}, job)
+			if !errors.Is(err, ErrRunPanicked) {
+				t.Fatalf("err = %v, want ErrRunPanicked", err)
+			}
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err %T does not unwrap to *PanicError", err)
+			}
+			if pe.Value != want {
+				t.Errorf("panic value = %#v, want %#v", pe.Value, want)
+			}
+			if len(pe.Stack) == 0 || !bytes.Contains(pe.Stack, []byte("goroutine")) {
+				t.Errorf("panic stack missing: %q", pe.Stack)
+			}
+		})
 	}
 }
 
@@ -62,30 +107,37 @@ func TestInjectedPanicIsolatedFromBatch(t *testing.T) {
 }
 
 func TestJobWatchdogTimeout(t *testing.T) {
-	job := smallJob(t, "ILP2", policies.FastPD)
-	job.Timeout = time.Nanosecond
-	eng := New(Options{Workers: 1})
-	_, err := eng.Run(context.Background(), job)
-	if !errors.Is(err, ErrJobTimeout) {
-		t.Fatalf("err = %v, want ErrJobTimeout", err)
-	}
+	for _, entry := range entryPoints {
+		t.Run(entry, func(t *testing.T) {
+			job := smallJob(t, "ILP2", policies.FastPD)
+			job.Timeout = time.Nanosecond
+			_, err := runVia(context.Background(), t, entry, Options{Workers: 1}, job)
+			if !errors.Is(err, ErrJobTimeout) {
+				t.Fatalf("err = %v, want ErrJobTimeout", err)
+			}
 
-	// The engine-level default applies when the job sets none.
-	eng = New(Options{Workers: 1, JobTimeout: time.Nanosecond})
-	_, err = eng.Run(context.Background(), smallJob(t, "ILP2", policies.FastPD))
-	if !errors.Is(err, ErrJobTimeout) {
-		t.Fatalf("engine default watchdog: err = %v, want ErrJobTimeout", err)
+			// The engine-level default applies when the job sets none.
+			opts := Options{Workers: 1, JobTimeout: time.Nanosecond}
+			_, err = runVia(context.Background(), t, entry, opts, smallJob(t, "ILP2", policies.FastPD))
+			if !errors.Is(err, ErrJobTimeout) {
+				t.Fatalf("engine default watchdog: err = %v, want ErrJobTimeout", err)
+			}
+		})
 	}
 }
 
 func TestParentCancellationIsNotATimeout(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	job := smallJob(t, "ILP2", policies.FastPD)
-	job.Timeout = time.Minute
-	_, err := New(Options{Workers: 1}).Run(ctx, job)
-	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrJobTimeout) {
-		t.Fatalf("err = %v, want context.Canceled and not ErrJobTimeout", err)
+	for _, entry := range entryPoints {
+		t.Run(entry, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			job := smallJob(t, "ILP2", policies.FastPD)
+			job.Timeout = time.Minute
+			_, err := runVia(ctx, t, entry, Options{Workers: 1}, job)
+			if !errors.Is(err, context.Canceled) || errors.Is(err, ErrJobTimeout) {
+				t.Fatalf("err = %v, want context.Canceled and not ErrJobTimeout", err)
+			}
+		})
 	}
 }
 
@@ -111,39 +163,68 @@ func abortingSeed(t *testing.T, rate float64, wantClear int) uint64 {
 	return 0
 }
 
+// resumedAttempts is what a Resume reports under an abort rate: the
+// fault plane draws transient aborts at epoch 0 only, which a resume
+// never re-runs, so the resumed portion completes on its first attempt.
+// Attempts counts from the container's attempt, so it is 1, not
+// containerAttempt+1.
+const resumedAttempts = 1
+
 func TestTransientFaultRetries(t *testing.T) {
-	job := smallJob(t, "ILP2", policies.MemScale)
-	job.Faults = &faults.Config{
-		Seed:               abortingSeed(t, 0.5, 1),
-		TransientAbortRate: 0.5,
-	}
-	out, err := New(Options{Workers: 1}).Run(context.Background(), job)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if out.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2", out.Attempts)
-	}
-	if out.Res.Faults.TransientAborts != 1 {
-		t.Errorf("TransientAborts = %d, want 1", out.Res.Faults.TransientAborts)
+	for _, entry := range entryPoints {
+		t.Run(entry, func(t *testing.T) {
+			job := smallJob(t, "ILP2", policies.MemScale)
+			job.Faults = &faults.Config{
+				Seed:               abortingSeed(t, 0.5, 1),
+				TransientAbortRate: 0.5,
+			}
+			attempts, aborts := 2, uint64(1)
+			if entry == "Resume" {
+				attempts, aborts = resumedAttempts, 0
+			}
+			out, err := runVia(context.Background(), t, entry, Options{Workers: 1}, job)
+			if err != nil {
+				t.Fatalf("%s: %v", entry, err)
+			}
+			if out.Attempts != attempts {
+				t.Errorf("Attempts = %d, want %d", out.Attempts, attempts)
+			}
+			if out.Res.Faults.TransientAborts != aborts {
+				t.Errorf("TransientAborts = %d, want %d", out.Res.Faults.TransientAborts, aborts)
+			}
+		})
 	}
 }
 
 func TestTransientFaultExhaustsRetries(t *testing.T) {
-	job := smallJob(t, "ILP2", policies.MemScale)
-	job.Faults = &faults.Config{Seed: 3, TransientAbortRate: 1, MaxRunRetries: 2}
-	_, err := New(Options{Workers: 1}).Run(context.Background(), job)
-	if !errors.Is(err, faults.ErrTransient) {
-		t.Fatalf("err = %v, want ErrTransient after exhausted retries", err)
+	for _, entry := range entryPoints {
+		t.Run(entry, func(t *testing.T) {
+			job := smallJob(t, "ILP2", policies.MemScale)
+			job.Faults = &faults.Config{Seed: 3, TransientAbortRate: 1, MaxRunRetries: 2}
+			out, err := runVia(context.Background(), t, entry, Options{Workers: 1}, job)
+			if entry == "Resume" {
+				if err != nil || out.Attempts != resumedAttempts {
+					t.Fatalf("resume under abort rate 1: attempts %d, err %v; want %d, nil", out.Attempts, err, resumedAttempts)
+				}
+				return
+			}
+			if !errors.Is(err, faults.ErrTransient) {
+				t.Fatalf("err = %v, want ErrTransient after exhausted retries", err)
+			}
+		})
 	}
 }
 
 func TestInvalidFaultConfigRejected(t *testing.T) {
-	job := smallJob(t, "ILP2", policies.MemScale)
-	job.Faults = &faults.Config{Seed: 1, RefreshStormRate: 2}
-	_, err := New(Options{Workers: 1}).Run(context.Background(), job)
-	if !errors.Is(err, faults.ErrInvalidConfig) {
-		t.Fatalf("err = %v, want ErrInvalidConfig", err)
+	for _, entry := range entryPoints {
+		t.Run(entry, func(t *testing.T) {
+			job := smallJob(t, "ILP2", policies.MemScale)
+			job.Faults = &faults.Config{Seed: 1, RefreshStormRate: 2}
+			_, err := runVia(context.Background(), t, entry, Options{Workers: 1}, job)
+			if !errors.Is(err, faults.ErrInvalidConfig) {
+				t.Fatalf("err = %v, want ErrInvalidConfig", err)
+			}
+		})
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"memscale/internal/checkpoint"
 	"memscale/internal/config"
 	"memscale/internal/faults"
 	"memscale/internal/policies"
@@ -269,56 +270,111 @@ func (e *Engine) Cache() *BaselineCache { return e.cache }
 // *PanicError instead of unwinding the caller — and attempts killed
 // by an injected transient fault are retried with the same hardware
 // fault schedule, up to the fault config's retry budget.
-func (e *Engine) Run(ctx context.Context, job Job) (out Outcome, err error) {
+func (e *Engine) Run(ctx context.Context, job Job) (Outcome, error) {
+	out, _, err := e.execute(ctx, job, nil, 0)
+	return out, err
+}
+
+// execute is the one pipeline behind Run, RunWithCheckpoint and
+// Resume: panic isolation, fault validation, the baseline lookup, and
+// the attempt loop that retries transient aborts. A cold run resolves
+// its configurations from the job and starts from job.Warm (nil for a
+// fresh system); a resume (from non-nil) starts from the container's
+// configurations, state and attempt number, and rebuilds its governor
+// with the container's calibrated non-memory power. ckEpoch > 0 makes
+// the run a checkpointing one (see attempt); the checkpoint comes back
+// with a completed or interrupted run.
+func (e *Engine) execute(ctx context.Context, job Job, from *checkpoint.Checkpoint, ckEpoch int) (out Outcome, ck *checkpoint.Checkpoint, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = Outcome{}, &PanicError{Value: r, Stack: debug.Stack()}
+			out, ck, err = Outcome{}, nil, &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 
 	if err := ctx.Err(); err != nil {
-		return Outcome{}, err
+		return Outcome{}, nil, err
 	}
 	if job.Epochs <= 0 {
-		return Outcome{}, fmt.Errorf("runner: job epochs must be positive, got %d", job.Epochs)
+		return Outcome{}, nil, fmt.Errorf("runner: job epochs must be positive, got %d", job.Epochs)
 	}
 	retries := 0
 	if job.Faults != nil {
 		if err := job.Faults.Validate(); err != nil {
-			return Outcome{}, fmt.Errorf("runner: %w", err)
+			return Outcome{}, nil, fmt.Errorf("runner: %w", err)
 		}
 		retries = job.Faults.WithDefaults().MaxRunRetries
 	}
 
-	cfg, baseCfg := jobConfig(job)
+	var cfg, baseCfg config.Config
+	start, first := job.Warm, 0
+	if from != nil {
+		// The container's configurations are already resolved: the
+		// spec's Configure hook must not run again.
+		cfg, baseCfg, start, first = from.Config, from.Base, from.State, from.Meta.Attempt
+	} else {
+		cfg, baseCfg = jobConfig(job)
+	}
 	base, nonMem, err := e.cache.Baseline(ctx, baseCfg, job.Mix, job.Epochs, job.Shards)
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, nil, err
+	}
+	govNonMem := nonMem
+	if from != nil {
+		govNonMem = from.Meta.NonMem
 	}
 
 	var aborts uint64
-	for attempt := 0; ; attempt++ {
-		out, err := e.runAttempt(ctx, job, cfg, nonMem, attempt)
+	for n := 0; ; n++ {
+		out, snap, err := e.attempt(ctx, job, cfg, start, govNonMem, first+n, ckEpoch)
+		if snap != nil {
+			ck = &checkpoint.Checkpoint{
+				Meta: checkpoint.Meta{
+					Mix:     job.Mix.Name,
+					Policy:  job.Spec.Name,
+					Gamma:   cfg.Policy.Gamma,
+					NonMem:  nonMem,
+					Epochs:  snap.EpochIdx,
+					Faults:  job.Faults,
+					Attempt: first + n,
+				},
+				Config: cfg,
+				Base:   baseCfg,
+				State:  snap,
+			}
+		}
 		if err == nil {
 			out.Mix, out.Policy = job.Mix, job.Spec.Name
 			out.NonMem, out.Base = nonMem, base
-			out.Attempts = attempt + 1
+			out.Attempts = n + 1
 			// Aborted attempts discarded their partial state; fold the
 			// retries they cost into the surviving run's fault tally.
 			out.Res.Faults.TransientAborts += aborts
-			return out, nil
+			return out, ck, nil
 		}
-		if !errors.Is(err, faults.ErrTransient) || attempt >= retries || ctx.Err() != nil {
-			return Outcome{}, err
+		if errors.Is(err, ErrInterrupted) {
+			// The checkpoint carries the boundary the run stopped on;
+			// there is no finished outcome to pair.
+			return Outcome{}, ck, err
+		}
+		if !errors.Is(err, faults.ErrTransient) || n >= retries || ctx.Err() != nil {
+			return Outcome{}, nil, err
 		}
 		aborts++
 	}
 }
 
-// runAttempt executes one managed-run attempt under the job's
-// watchdog deadline, with a fresh governor, recorder, injector, and
-// trace streams (all are stateful and must not leak across attempts).
-func (e *Engine) runAttempt(ctx context.Context, job Job, cfg config.Config, nonMem float64, attempt int) (Outcome, error) {
+// attempt executes one managed-run attempt, number n of the fault
+// schedule, under the job's watchdog deadline, with a fresh injector,
+// trace streams, governor and recorder (all are stateful and must not
+// leak across attempts). It restores start when one is given and steps
+// the system epoch by epoch to the job's horizon; the stepped run is
+// bit-identical to RunFor.
+//
+// A checkpointing attempt (ckEpoch > 0) also returns the state saved
+// after ckEpoch epochs, and honours job.Interrupt: once the channel
+// fires, the attempt finishes its current epoch and returns the state
+// at that boundary with ErrInterrupted.
+func (e *Engine) attempt(ctx context.Context, job Job, cfg config.Config, start *sim.SystemState, nonMem float64, n, ckEpoch int) (Outcome, *sim.SystemState, error) {
 	timeout := job.Timeout
 	if timeout <= 0 {
 		timeout = e.jobTimeout
@@ -333,13 +389,13 @@ func (e *Engine) runAttempt(ctx context.Context, job Job, cfg config.Config, non
 	var inj *faults.Injector
 	if job.Faults != nil {
 		var err error
-		if inj, err = faults.New(*job.Faults, attempt); err != nil {
-			return Outcome{}, fmt.Errorf("runner: %w", err)
+		if inj, err = faults.New(*job.Faults, n); err != nil {
+			return Outcome{}, nil, fmt.Errorf("runner: %w", err)
 		}
 	}
 	streams, err := job.Mix.Streams(&cfg)
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, nil, err
 	}
 	var gov sim.Governor
 	if job.Spec.Governor != nil {
@@ -360,24 +416,49 @@ func (e *Engine) runAttempt(ctx context.Context, job Job, cfg config.Config, non
 		Shards:       job.Shards,
 	}
 	var s *sim.System
-	if job.Warm != nil {
-		// Fork from the shared warm-up snapshot instead of simulating
-		// the prefix: the restored system resumes at the prefix's epoch
-		// boundary with a fresh governor.
-		s, err = sim.Restore(cfg, streams, opts, job.Warm)
+	if start != nil {
+		s, err = sim.Restore(cfg, streams, opts, start)
 	} else {
 		s, err = sim.New(cfg, streams, opts)
 	}
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, nil, err
 	}
-	res, err := s.RunForContext(ctx, config.Time(job.Epochs)*cfg.Policy.EpochLength)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-			return Outcome{}, fmt.Errorf("runner: job exceeded %v watchdog: %w", timeout, ErrJobTimeout)
+
+	horizon := min(config.Time(job.Epochs)*cfg.Policy.EpochLength, sim.DefaultMaxDuration)
+	var snap *sim.SystemState
+	for {
+		ep, err := s.StepEpoch(ctx)
+		if err != nil {
+			if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
+				return Outcome{}, nil, fmt.Errorf("runner: job exceeded %v watchdog: %w", timeout, ErrJobTimeout)
+			}
+			return Outcome{}, nil, err
 		}
-		return Outcome{}, err
+		if ep.Index+1 == ckEpoch {
+			if snap, err = s.Save(); err != nil {
+				return Outcome{}, nil, fmt.Errorf("runner: checkpoint save: %w", err)
+			}
+		}
+		if ep.End >= horizon {
+			break
+		}
+		if ckEpoch > 0 {
+			select {
+			case <-job.Interrupt:
+				if snap, err = s.Save(); err != nil {
+					return Outcome{}, nil, fmt.Errorf("runner: interrupt checkpoint save: %w", err)
+				}
+				return Outcome{}, snap, ErrInterrupted
+			default:
+			}
+		}
 	}
+	res := s.Finalize()
+	if ckEpoch > 0 && snap == nil {
+		return Outcome{}, nil, fmt.Errorf("runner: run ended before checkpoint epoch %d", ckEpoch)
+	}
+
 	out := Outcome{Res: res, Shards: s.ParallelShards()}
 	if rec != nil {
 		apps := make([]string, cfg.Cores)
@@ -397,11 +478,8 @@ func (e *Engine) runAttempt(ctx context.Context, job Job, cfg config.Config, non
 			CoreApps:     apps,
 			NonMemPowerW: nonMem,
 		}, freqSeconds)
-		if err := rec.SinkErr(); err != nil {
-			return Outcome{}, fmt.Errorf("runner: telemetry sink: %w", err)
-		}
 	}
-	return out, nil
+	return out, snap, nil
 }
 
 // RunEach executes every job on the worker pool and returns outcomes
@@ -409,6 +487,15 @@ func (e *Engine) runAttempt(ctx context.Context, job Job, cfg config.Config, non
 // of completion order). One job's failure does not stop the others;
 // cancellation does — jobs not yet started report ctx.Err().
 func (e *Engine) RunEach(ctx context.Context, jobs []Job) ([]Outcome, []error) {
+	return e.each(ctx, jobs, func(ctx context.Context, i int) (Outcome, error) {
+		return e.Run(ctx, jobs[i])
+	})
+}
+
+// each is the batch body behind RunEach and RunEachWarm: run(ctx, i)
+// produces job i's outcome on the worker pool, and every finished job
+// is reported to the OnResult callback.
+func (e *Engine) each(ctx context.Context, jobs []Job, run func(context.Context, int) (Outcome, error)) ([]Outcome, []error) {
 	outs := make([]Outcome, len(jobs))
 	var onDone func(done, i int, err error)
 	if e.onResult != nil {
@@ -421,7 +508,7 @@ func (e *Engine) RunEach(ctx context.Context, jobs []Job) ([]Outcome, []error) {
 	}
 	errs := ForEach(ctx, e.workers, len(jobs), func(ctx context.Context, i int) error {
 		var err error
-		outs[i], err = e.Run(ctx, jobs[i])
+		outs[i], err = run(ctx, i)
 		return err
 	}, onDone)
 	return outs, errs

@@ -3,11 +3,14 @@ package runner
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
 	"memscale/internal/config"
 	"memscale/internal/policies"
+	"memscale/internal/sim"
 	"memscale/internal/workload"
 )
 
@@ -177,5 +180,67 @@ func TestMutateAffectsBothRunsAndKey(t *testing.T) {
 	}
 	if outs[0].Base.Memory.Memory() == outs[1].Base.Memory.Memory() {
 		t.Error("different channel counts must produce different baselines")
+	}
+}
+
+// sameResult asserts two managed results are Float64bits-identical in
+// their headline metrics and equal everywhere else.
+func sameResult(t *testing.T, label string, got, want sim.Result) {
+	t.Helper()
+	for _, m := range []struct {
+		name string
+		a, b float64
+	}{
+		{"memory energy", got.Memory.Memory(), want.Memory.Memory()},
+		{"system energy", got.SystemEnergy(), want.SystemEnergy()},
+		{"mean CPI", got.MeanCPI(), want.MeanCPI()},
+	} {
+		if math.Float64bits(m.a) != math.Float64bits(m.b) {
+			t.Errorf("%s: %s = %v, want %v", label, m.name, m.a, m.b)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: results differ:\n got %+v\nwant %+v", label, got, want)
+	}
+}
+
+func TestInterruptSemantics(t *testing.T) {
+	job := smallJob(t, "ILP2", policies.MemScale)
+	job.Epochs = 2
+	stop := make(chan struct{})
+	close(stop)
+	interrupted := job
+	interrupted.Interrupt = stop
+	eng := New(Options{Workers: 1})
+	ctx := context.Background()
+
+	want, err := eng.Run(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Plain Run ignores the soft stop.
+	got, err := eng.Run(ctx, interrupted)
+	if err != nil {
+		t.Fatalf("Run with a fired Interrupt: %v", err)
+	}
+	sameResult(t, "Run with a fired Interrupt", got.Res, want.Res)
+
+	// RunWithCheckpoint honours it after the first epoch.
+	_, ck, err := eng.RunWithCheckpoint(ctx, interrupted, job.Epochs)
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("RunWithCheckpoint err = %v, want ErrInterrupted", err)
+	}
+	if ck == nil || ck.Meta.Epochs != 1 || ck.State.EpochIdx != 1 {
+		t.Fatalf("interrupt checkpoint = %+v, want one completed epoch", ck)
+	}
+
+	// Resuming the interrupted run lands on the uninterrupted result.
+	res, err := eng.Resume(ctx, ResumeJob{Checkpoint: ck, Epochs: job.Epochs})
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	sameResult(t, "resumed run", res.Res, want.Res)
+	if res.NonMem != want.NonMem || res.Attempts != 1 {
+		t.Errorf("resumed pairing nonmem/attempts = %v/%d, want %v/1", res.NonMem, res.Attempts, want.NonMem)
 	}
 }

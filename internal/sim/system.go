@@ -165,7 +165,8 @@ type Options struct {
 	// KeepTimeline retains per-epoch records in the Result.
 	KeepTimeline bool
 
-	// MaxDuration caps the run length as a safety net (default 2 s).
+	// MaxDuration caps the run length as a safety net (default
+	// DefaultMaxDuration).
 	MaxDuration config.Time
 
 	// Telemetry, when non-nil, receives samples, events, and epoch
@@ -348,6 +349,11 @@ type pendingStorm struct {
 	tickets []event.Seq
 }
 
+// DefaultMaxDuration is the run-length safety net when
+// Options.MaxDuration is zero. Drivers that step epochs themselves stop
+// at it too, so they end exactly where RunFor would.
+const DefaultMaxDuration = 2 * config.Second
+
 // New builds a system running the given per-core streams under cfg.
 func New(cfg config.Config, streams []*trace.Stream, opts Options) (*System, error) {
 	if err := cfg.Validate(); err != nil {
@@ -387,7 +393,7 @@ func New(cfg config.Config, streams []*trace.Stream, opts Options) (*System, err
 	}
 	s.result.FreqTime = map[config.FreqMHz]config.Time{}
 	if s.opts.MaxDuration <= 0 {
-		s.opts.MaxDuration = 2 * config.Second
+		s.opts.MaxDuration = DefaultMaxDuration
 	}
 	return s, nil
 }

@@ -93,7 +93,7 @@ type RunExport struct {
 	Epochs []EpochSnapshot `json:"-"`
 	Events []Event         `json:"-"`
 
-	// DroppedEvents counts ring evictions (sink-less recorders only).
+	// DroppedEvents counts ring evictions.
 	DroppedEvents uint64 `json:"dropped_events,omitempty"`
 }
 
@@ -108,11 +108,8 @@ func (e *RunExport) Histogram(name string) *Histogram {
 	return nil
 }
 
-// Export snapshots the recorder into a self-contained RunExport. If a
-// sink is attached, buffered events are flushed to it and the export's
-// Events field stays empty (the sink owns the stream); otherwise the
-// export carries the ring's retained events. Safe on nil (returns
-// nil).
+// Export snapshots the recorder into a self-contained RunExport,
+// carrying the ring's retained events. Safe on nil (returns nil).
 func (r *Recorder) Export(meta RunMeta, freqSeconds map[int]float64) *RunExport {
 	if r == nil {
 		return nil
@@ -146,12 +143,8 @@ func (r *Recorder) Export(meta RunMeta, freqSeconds map[int]float64) *RunExport 
 		}
 	}
 	if r.ring != nil {
-		if r.opts.Sink != nil {
-			r.flushToSink()
-		} else {
-			out.Events = r.ring.drain()
-			out.DroppedEvents = r.ring.dropped
-		}
+		out.Events = r.ring.drain()
+		out.DroppedEvents = r.ring.dropped
 	}
 	return out
 }

@@ -125,16 +125,19 @@ func WriteFreqCSV(w io.Writer, exports []*RunExport) error {
 
 // WriteEventsCSV renders every retained event of every run.
 func WriteEventsCSV(w io.Writer, exports []*RunExport) error {
-	sink := &CSVSink{W: w}
-	if err := sink.Emit(nil); err != nil {
+	if _, err := fmt.Fprintln(w, "kind,t_ps,epoch,channel,rank,core,a,b,c,f1,f2"); err != nil {
 		return err
 	}
 	for _, e := range exports {
 		if e == nil {
 			continue
 		}
-		if err := sink.Emit(e.Events); err != nil {
-			return err
+		for _, ev := range e.Events {
+			if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%g,%g\n",
+				ev.Kind, int64(ev.Time), ev.Epoch, ev.Channel, ev.Rank, ev.Core,
+				ev.A, ev.B, ev.C, ev.F1, ev.F2); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -201,7 +204,7 @@ func writeRunSummary(w io.Writer, e *RunExport) {
 	fmt.Fprintf(w, "  powerdown: %d enters / %d exits; %d refreshes\n",
 		e.Counters["powerdown_enters"], e.Counters["powerdown_exits"], e.Counters["refreshes"])
 	if e.DroppedEvents > 0 {
-		fmt.Fprintf(w, "  WARNING: %d events dropped (ring full, no sink)\n", e.DroppedEvents)
+		fmt.Fprintf(w, "  WARNING: %d events dropped (ring full)\n", e.DroppedEvents)
 	}
 }
 

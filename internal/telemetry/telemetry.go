@@ -1,8 +1,8 @@
 // Package telemetry is the simulator's metrics-and-tracing subsystem:
 // typed collectors (counters, gauges, fixed-bucket histograms), a
-// structured event stream behind a drop-oldest ring buffer with
-// pluggable sinks, per-epoch snapshots, and per-run exports that
-// aggregate into cross-run rollups.
+// structured event stream behind a drop-oldest ring buffer, per-epoch
+// snapshots, and per-run exports that aggregate into cross-run
+// rollups.
 //
 // Design constraints, in order:
 //
@@ -40,13 +40,9 @@ type Options struct {
 	// part and opts in separately.
 	Events bool
 
-	// RingSize bounds the in-memory event buffer (default 4096).
-	// Without a sink the ring keeps the newest events, counting
-	// drops; with a sink it drains wholesale whenever it fills.
+	// RingSize bounds the in-memory event buffer (default 4096). The
+	// ring keeps the newest events, counting drops.
 	RingSize int
-
-	// Sink, when non-nil, receives every drained event batch.
-	Sink Sink
 }
 
 // DefaultRingSize is the event-ring capacity when Options.RingSize is
@@ -60,8 +56,7 @@ type Recorder struct {
 	opts  Options
 	epoch int
 
-	ring    *eventRing
-	sinkErr error
+	ring *eventRing
 
 	// Histograms (always on).
 	ReadLatencyNs *Histogram
@@ -140,76 +135,13 @@ func (r *Recorder) SetEpoch(i int) {
 	r.epoch = i
 }
 
-// push buffers one event, draining to the sink when the ring fills.
+// push buffers one event in the ring.
 func (r *Recorder) push(ev Event) {
 	if r == nil || r.ring == nil {
 		return
 	}
 	ev.Epoch = r.epoch
-	full := r.ring.push(ev)
-	if full && r.opts.Sink != nil {
-		r.flushToSink()
-	}
-}
-
-func (r *Recorder) flushToSink() {
-	batch := r.ring.drain()
-	if len(batch) == 0 {
-		return
-	}
-	if err := r.opts.Sink.Emit(batch); err != nil && r.sinkErr == nil {
-		r.sinkErr = err
-	}
-}
-
-// SinkErr returns the first error a sink reported, if any. Safe on
-// nil.
-func (r *Recorder) SinkErr() error {
-	if r == nil {
-		return nil
-	}
-	return r.sinkErr
-}
-
-// FreqTransition records a channel relock.
-func (r *Recorder) FreqTransition(t config.Time, ch int, from, to config.FreqMHz, penalty config.Time) {
-	if r == nil {
-		return
-	}
-	r.FreqTransitions.Add(1)
-	r.push(Event{Kind: EvFreqTransition, Time: t, Channel: ch, Rank: -1, Core: -1,
-		A: int64(from), B: int64(to), C: int64(penalty)})
-}
-
-// PowerdownEnter records a rank dropping CKE.
-func (r *Recorder) PowerdownEnter(t config.Time, ch, rank int, slow bool) {
-	if r == nil {
-		return
-	}
-	r.PowerdownEnters.Add(1)
-	var a int64
-	if slow {
-		a = 1
-	}
-	r.push(Event{Kind: EvPowerdownEnter, Time: t, Channel: ch, Rank: rank, Core: -1, A: a})
-}
-
-// PowerdownExit records a rank waking to serve a request.
-func (r *Recorder) PowerdownExit(t config.Time, ch, rank int) {
-	if r == nil {
-		return
-	}
-	r.PowerdownExits.Add(1)
-	r.push(Event{Kind: EvPowerdownExit, Time: t, Channel: ch, Rank: rank, Core: -1})
-}
-
-// Refresh records a rank refresh spanning dur.
-func (r *Recorder) Refresh(t config.Time, ch, rank int, dur config.Time) {
-	if r == nil {
-		return
-	}
-	r.Refreshes.Add(1)
-	r.push(Event{Kind: EvRefresh, Time: t, Channel: ch, Rank: rank, Core: -1, C: int64(dur)})
+	r.ring.push(ev)
 }
 
 // Slack records one core's slack credit (delta > 0) or debit at an
@@ -291,24 +223,6 @@ func (r *Recorder) NodeRecovered(t config.Time, node int, rejoin bool, attempt i
 	}
 	r.push(Event{Kind: EvRecovered, Time: t, Channel: -1, Rank: -1, Core: node,
 		A: a, B: int64(attempt)})
-}
-
-// ObserveReadLatency records one read's arrival-to-data latency.
-func (r *Recorder) ObserveReadLatency(d config.Time) {
-	if r == nil {
-		return
-	}
-	r.ReadLatencyNs.Observe(d.Nanoseconds())
-}
-
-// ObserveQueueDepth records an outstanding-request count seen by an
-// arriving request. The controller feeds the per-channel depth through
-// its ChannelCells; this run-wide entry point remains for direct use.
-func (r *Recorder) ObserveQueueDepth(depth int) {
-	if r == nil {
-		return
-	}
-	r.QueueDepth.Observe(float64(depth))
 }
 
 // ObserveEpochHost records the host wall-clock nanoseconds one epoch

@@ -12,23 +12,26 @@ import (
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.SetEpoch(3)
-	r.FreqTransition(0, 0, 800, 400, 100)
-	r.PowerdownEnter(0, 0, 0, true)
-	r.PowerdownExit(0, 0, 0)
-	r.Refresh(0, 0, 0, 10)
 	r.Slack(0, 0, 0.1, 0.2)
 	r.Decision(0, 800, 400, 1.2, 1.3)
-	r.ObserveReadLatency(100)
-	r.ObserveQueueDepth(4)
 	r.ObserveEpochHost(1000)
 	r.PowerInterval(5, dram.Account{}, Energy{})
 	r.AddEpoch(EpochSnapshot{})
+	r.MergeChannels()
 	if r.EventsEnabled() {
 		t.Error("nil recorder reports events enabled")
 	}
-	if r.Epochs() != nil || r.SinkErr() != nil {
+	if r.Epochs() != nil || r.ChannelCells(2) != nil {
 		t.Error("nil recorder getters must return zero values")
 	}
+	// An untelemetered controller holds nil cells; they no-op too.
+	var c *ChannelCell
+	c.FreqTransition(0, 800, 400, 100)
+	c.PowerdownEnter(0, 0, true)
+	c.PowerdownExit(0, 0)
+	c.Refresh(0, 0, 10)
+	c.ObserveReadLatency(100)
+	c.ObserveQueueDepth(4)
 	if r.Export(RunMeta{}, nil) != nil {
 		t.Error("nil recorder Export must return nil")
 	}
@@ -82,9 +85,11 @@ func TestHistogramMerge(t *testing.T) {
 
 func TestEventRingDropOldest(t *testing.T) {
 	r := NewRecorder(Options{Events: true, RingSize: 3})
+	cell := r.ChannelCells(1)[0]
 	for i := 0; i < 5; i++ {
-		r.Refresh(config.Time(i), 0, i, 1)
+		cell.Refresh(config.Time(i), i, 1)
 	}
+	r.MergeChannels()
 	out := r.Export(RunMeta{}, nil)
 	if len(out.Events) != 3 {
 		t.Fatalf("retained %d events, want 3", len(out.Events))
@@ -100,47 +105,13 @@ func TestEventRingDropOldest(t *testing.T) {
 	}
 }
 
-func TestSinkReceivesEveryEvent(t *testing.T) {
-	sink := &MemorySink{}
-	r := NewRecorder(Options{Events: true, RingSize: 2, Sink: sink})
-	for i := 0; i < 5; i++ {
-		r.Refresh(config.Time(i), 0, i, 1)
-	}
-	out := r.Export(RunMeta{}, nil)
-	if len(sink.Events) != 5 {
-		t.Fatalf("sink saw %d events, want all 5", len(sink.Events))
-	}
-	for i, ev := range sink.Events {
-		if ev.Rank != i {
-			t.Errorf("sink event %d has rank %d: order not preserved", i, ev.Rank)
-		}
-	}
-	if len(out.Events) != 0 || out.DroppedEvents != 0 {
-		t.Error("with a sink the export must not duplicate or drop events")
-	}
-}
-
-func TestCSVSinkFormat(t *testing.T) {
-	var buf bytes.Buffer
-	sink := &CSVSink{W: &buf}
-	r := NewRecorder(Options{Events: true, Sink: sink})
-	r.SetEpoch(7)
-	r.FreqTransition(1000, 1, 800, 400, 42)
-	r.Export(RunMeta{}, nil)
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 || lines[0] != EventCSVHeader {
-		t.Fatalf("csv = %q", buf.String())
-	}
-	if want := "freq_transition,1000,7,1,-1,-1,800,400,42,0,0"; lines[1] != want {
-		t.Errorf("row = %q, want %q", lines[1], want)
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	r := NewRecorder(Options{Events: true})
 	r.SetEpoch(0)
-	r.ObserveReadLatency(60 * config.Nanosecond)
-	r.ObserveQueueDepth(3)
+	cell := r.ChannelCells(1)[0]
+	cell.ObserveReadLatency(60 * config.Nanosecond)
+	cell.ObserveQueueDepth(3)
+	r.MergeChannels()
 	r.Decision(100, 800, 400, 1.5, 1.6)
 	r.PowerInterval(5*config.Millisecond,
 		dram.Account{PrechargeStandby: 5 * config.Millisecond},
@@ -197,7 +168,8 @@ func TestReadJSONLRejectsOrphans(t *testing.T) {
 func TestRollupMerges(t *testing.T) {
 	mk := func(mix string, reads float64) *RunExport {
 		r := NewRecorder(Options{})
-		r.ObserveReadLatency(config.Time(reads))
+		r.ChannelCells(1)[0].ObserveReadLatency(config.Time(reads))
+		r.MergeChannels()
 		r.FreqTransitions.Add(2)
 		r.PowerInterval(5*config.Millisecond,
 			dram.Account{ActiveStandby: 2 * config.Millisecond},
@@ -261,12 +233,15 @@ func TestReportViews(t *testing.T) {
 		CoreCPI: []float64{1.6}, ChannelUtil: []float64{0.2},
 		Residency: dram.Account{PrechargeStandby: 5 * config.Millisecond},
 	})
-	r.ObserveReadLatency(60 * config.Nanosecond)
+	cell := r.ChannelCells(2)[1]
+	cell.ObserveReadLatency(60 * config.Nanosecond)
+	cell.FreqTransition(1000, 800, 400, 42)
+	r.MergeChannels()
 	exp := r.Export(RunMeta{Mix: "MID3", Policy: "MemScale"}, map[int]float64{400: 0.005})
 	exp.DurationSeconds = 0.005
 	exports := []*RunExport{exp}
 
-	var res, lat, dec, freq, sum bytes.Buffer
+	var res, lat, dec, freq, sum, events bytes.Buffer
 	if err := WriteResidencyCSV(&res, exports); err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +255,9 @@ func TestReportViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := WriteSummary(&sum, exports); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteEventsCSV(&events, exports); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(res.String(), "MID3,MemScale,0,5.000,400") {
@@ -296,5 +274,10 @@ func TestReportViews(t *testing.T) {
 	}
 	if !strings.Contains(sum.String(), "MID3/MemScale") {
 		t.Errorf("summary:\n%s", sum.String())
+	}
+	rows := strings.Split(strings.TrimSpace(events.String()), "\n")
+	if len(rows) != 3 || rows[0] != "kind,t_ps,epoch,channel,rank,core,a,b,c,f1,f2" ||
+		rows[2] != "freq_transition,1000,0,1,-1,-1,800,400,42,0,0" {
+		t.Errorf("events csv:\n%s", events.String())
 	}
 }
