@@ -45,7 +45,7 @@ type Core struct {
 	// Pre-bound callbacks, created once per core so the per-access hot
 	// path (issue event, read completion) schedules without allocating.
 	onIssue event.Bound
-	onData  event.Handler
+	onData  func(config.Time)
 }
 
 // New builds a core that replays stream through mc.

@@ -67,7 +67,7 @@ func (c *Core) Load(st CoreState) {
 // the identical function value the core passes to the controller on
 // every read, so a restored request completes exactly as the original
 // would have.
-func (c *Core) OnData() event.Handler { return c.onData }
+func (c *Core) OnData() func(config.Time) { return c.onData }
 
 // RegisterEvents registers the cores' issue-event kind with the
 // checkpoint event registry. All cores share one code pointer (the

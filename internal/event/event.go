@@ -8,12 +8,11 @@
 //
 // The queue is built for a zero-allocation steady state: event nodes
 // live in a pooled arena and are recycled through a free list after
-// they fire or are cancelled, the priority queue is a flat 4-ary
-// min-heap of (time, seq) keys with no interface boxing, and the
-// ScheduleBound form lets callers attach a pre-bound callback plus
-// inline arguments so that scheduling never captures a closure. Handles
-// carry a generation counter, so a stale handle can never cancel an
-// event that recycled its slot.
+// they fire, the priority queue is a flat 4-ary min-heap of (time, seq)
+// keys with no interface boxing, and every callback is a pre-bound
+// Bound with inline arguments, so scheduling never captures a closure.
+// The (time, seq) key is unique, so pop order is a total order that no
+// heap layout can change.
 package event
 
 import (
@@ -22,23 +21,12 @@ import (
 	"memscale/internal/config"
 )
 
-// Handler is a callback invoked when an event fires.
-type Handler func(now config.Time)
-
 // Bound is the pre-bound callback form: the environment pointer and two
 // integer arguments are stored inline in the event node, so scheduling
 // a Bound callback allocates nothing in steady state. Typical use binds
 // a method value once at construction time and passes per-event state
 // through env/a/b.
 type Bound func(now config.Time, env any, a, b int32)
-
-// Handle identifies a scheduled event. It is a small value (no heap
-// pointer): the index of the pooled node plus the generation the node
-// had when the event was scheduled. The zero Handle is never valid.
-type Handle struct {
-	idx int32
-	gen uint32
-}
 
 // entry is one element of the flat 4-ary min-heap: the ordering key
 // (time, then schedule sequence for same-instant FIFO) plus the index
@@ -56,19 +44,13 @@ func entryLess(a, b entry) bool {
 	return a.seq < b.seq
 }
 
-// node is one pooled event. pos records only whether the node is
-// pending (>= 0) or free/fired (-1) — the exact heap position is not
-// maintained, so sift moves are pure entry copies; the rare operations
-// that need a position (Cancel, EventAt) scan the small heap for the
-// node index instead. gen increments every time the slot is recycled,
-// invalidating old handles.
+// node is one pooled event: the callback and its inline arguments.
+// Heap entries name their node by index, so sift moves are pure entry
+// copies.
 type node struct {
-	fn   Handler
 	bfn  Bound
 	env  any
 	a, b int32
-	gen  uint32
-	pos  int32
 }
 
 // deferred is one lazily materialized schedule (see ScheduleVia): at
@@ -147,72 +129,37 @@ func (q *Queue) ScheduledTotal() uint64 { return q.scheduled }
 // the deferred-schedule plane absorbed.
 func (q *Queue) Coalesced() uint64 { return q.coalesced }
 
-// PoolSize returns the number of node slots ever allocated — the
-// high-water mark of concurrently pending events.
-func (q *Queue) PoolSize() int { return len(q.nodes) }
-
-// FreeNodes returns the number of pooled slots currently on the free
-// list, available for recycling.
-func (q *Queue) FreeNodes() int { return len(q.free) }
-
-// alloc takes a node slot from the free list, growing the arena only
-// when no recycled slot is available.
-func (q *Queue) alloc() int32 {
-	if n := len(q.free); n > 0 {
-		idx := q.free[n-1]
-		q.free = q.free[:n-1]
-		return idx
-	}
-	q.nodes = append(q.nodes, node{gen: 1, pos: -1})
-	return int32(len(q.nodes) - 1)
-}
-
-// release recycles a node slot: callback references are dropped so the
-// pool retains nothing, and the generation bump invalidates every
-// handle issued for the previous occupant.
-func (q *Queue) release(idx int32) {
-	n := &q.nodes[idx]
-	n.fn = nil
-	n.bfn = nil
-	n.env = nil
-	n.gen++
-	n.pos = -1
-	q.free = append(q.free, idx)
-}
-
-func (q *Queue) add(at config.Time, fn Handler, bfn Bound, env any, a, b int32) Handle {
-	if at < q.now {
-		panic(fmt.Sprintf("event: scheduling at %v before now %v", at, q.now))
-	}
-	seq := q.bump()
+// push queues fn at (at, seq) in a pooled node, taking a slot from the
+// free list and growing the arena only when no recycled slot is
+// available.
+func (q *Queue) push(at config.Time, seq uint64, fn Bound, env any, a, b int32) {
 	q.scheduled++
-	idx := q.alloc()
-	n := &q.nodes[idx]
-	n.fn, n.bfn, n.env, n.a, n.b = fn, bfn, env, a, b
-	n.pos = 0
-	h := Handle{idx: idx, gen: n.gen}
-	q.heapPush(entry{at: at, seq: seq, idx: idx})
-	return h
-}
-
-// Schedule queues fn to run at time at. Scheduling in the past (before
-// Now) panics: that is always a simulator bug, and silently clamping
-// would corrupt causality.
-func (q *Queue) Schedule(at config.Time, fn Handler) Handle {
-	if fn == nil {
-		panic("event: nil handler")
+	n := node{bfn: fn, env: env, a: a, b: b}
+	var idx int32
+	if k := len(q.free); k > 0 {
+		idx = q.free[k-1]
+		q.free = q.free[:k-1]
+		q.nodes[idx] = n
+	} else {
+		idx = int32(len(q.nodes))
+		q.nodes = append(q.nodes, n)
 	}
-	return q.add(at, fn, nil, nil, 0, 0)
+	q.heapPush(entry{at: at, seq: seq, idx: idx})
 }
 
 // ScheduleBound queues a pre-bound callback: fn(at, env, a, b) runs at
 // time at. env and the integer arguments are stored inline in the
 // pooled node, so the call allocates nothing once the pool is warm.
-func (q *Queue) ScheduleBound(at config.Time, fn Bound, env any, a, b int32) Handle {
+// Scheduling in the past (before Now) panics: that is always a
+// simulator bug, and silently clamping would corrupt causality.
+func (q *Queue) ScheduleBound(at config.Time, fn Bound, env any, a, b int32) {
 	if fn == nil {
 		panic("event: nil handler")
 	}
-	return q.add(at, nil, fn, env, a, b)
+	if at < q.now {
+		panic(fmt.Sprintf("event: scheduling at %v before now %v", at, q.now))
+	}
+	q.push(at, q.bump(), fn, env, a, b)
 }
 
 // Seq is a same-instant ordering ticket. ReserveSeq allocates the next
@@ -241,21 +188,14 @@ func (q *Queue) FiringSeq() uint64 { return q.firing }
 // allowed only when the ticket's position has not yet been passed
 // (seq greater than FiringSeq); the caller owns that guarantee — a
 // ticket whose position already fired would be silently late.
-func (q *Queue) ScheduleBoundSeq(at config.Time, seq Seq, fn Bound, env any, a, b int32) Handle {
+func (q *Queue) ScheduleBoundSeq(at config.Time, seq Seq, fn Bound, env any, a, b int32) {
 	if fn == nil {
 		panic("event: nil handler")
 	}
 	if at < q.now {
 		panic(fmt.Sprintf("event: reserved-seq scheduling at %v before now %v", at, q.now))
 	}
-	q.scheduled++
-	idx := q.alloc()
-	n := &q.nodes[idx]
-	n.fn, n.bfn, n.env, n.a, n.b = nil, fn, env, a, b
-	n.pos = 0
-	h := Handle{idx: idx, gen: n.gen}
-	q.heapPush(entry{at: at, seq: uint64(seq), idx: idx})
-	return h
+	q.push(at, uint64(seq), fn, env, a, b)
 }
 
 // ScheduleVia is the deferred-schedule fast path: it is semantically
@@ -328,13 +268,7 @@ func (q *Queue) CancelDeferred(seq Seq) bool {
 // processing order.
 func (q *Queue) materializeDeferred() {
 	d := q.deferPop()
-	seq := q.bump()
-	q.scheduled++
-	idx := q.alloc()
-	n := &q.nodes[idx]
-	n.fn, n.bfn, n.env, n.a, n.b = nil, d.bfn, d.env, d.a, d.b
-	n.pos = 0
-	q.heapPush(entry{at: d.fireAt, seq: seq, idx: idx})
+	q.push(d.fireAt, q.bump(), d.bfn, d.env, d.a, d.b)
 }
 
 // settleDeferred materializes every deferred schedule whose activation
@@ -348,66 +282,18 @@ func (q *Queue) settleDeferred() {
 	}
 }
 
-// After queues fn to run d after the current time.
-func (q *Queue) After(d config.Time, fn Handler) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("event: negative delay %v", d))
-	}
-	return q.Schedule(q.now+d, fn)
-}
-
 // AfterBound queues a pre-bound callback d after the current time.
-func (q *Queue) AfterBound(d config.Time, fn Bound, env any, a, b int32) Handle {
+func (q *Queue) AfterBound(d config.Time, fn Bound, env any, a, b int32) {
 	if d < 0 {
 		panic(fmt.Sprintf("event: negative delay %v", d))
 	}
-	return q.ScheduleBound(q.now+d, fn, env, a, b)
-}
-
-// live returns the node for h if h still names a pending event.
-func (q *Queue) live(h Handle) *node {
-	if h.idx < 0 || int(h.idx) >= len(q.nodes) {
-		return nil
-	}
-	n := &q.nodes[h.idx]
-	if n.gen != h.gen || n.pos < 0 {
-		return nil
-	}
-	return n
-}
-
-// Pending reports whether the event named by h is still queued.
-func (q *Queue) Pending(h Handle) bool { return q.live(h) != nil }
-
-// EventAt returns the fire time of the pending event named by h, and
-// whether h still names a pending event.
-func (q *Queue) EventAt(h Handle) (config.Time, bool) {
-	if q.live(h) == nil {
-		return 0, false
-	}
-	return q.heap[q.heapFind(h.idx)].at, true
-}
-
-// Cancel removes a pending event eagerly: the node leaves the heap and
-// returns to the pool immediately, so long-lived cancellations (relock
-// or refresh reschedules) cannot bloat the queue. Cancelling a fired,
-// already cancelled, or recycled handle is a no-op; the generation
-// check guarantees a stale handle can never cancel the slot's next
-// occupant. It reports whether an event was actually cancelled.
-func (q *Queue) Cancel(h Handle) bool {
-	if q.live(h) == nil {
-		return false
-	}
-	q.heapRemove(q.heapFind(h.idx))
-	q.release(h.idx)
-	return true
+	q.ScheduleBound(q.now+d, fn, env, a, b)
 }
 
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It returns false when no events remain. The node is
 // recycled before the callback runs, so a callback scheduling a new
-// event may reuse the slot; the generation bump keeps old handles
-// inert.
+// event may reuse the slot.
 func (q *Queue) Step() bool {
 	// Inline settleDeferred's guard: the per-step common case (no
 	// deferred schedule due) must not pay a function call.
@@ -418,17 +304,14 @@ func (q *Queue) Step() bool {
 		return false
 	}
 	e := q.popRoot()
-	n := &q.nodes[e.idx]
-	fn, bfn, env, a, b := n.fn, n.bfn, n.env, n.a, n.b
-	q.release(e.idx)
+	n := q.nodes[e.idx]
+	// Drop the callback references so the pool retains nothing.
+	q.nodes[e.idx] = node{}
+	q.free = append(q.free, e.idx)
 	q.now = e.at
 	q.firing = e.seq
 	q.fired++
-	if bfn != nil {
-		bfn(e.at, env, a, b)
-	} else {
-		fn(e.at)
-	}
+	n.bfn(e.at, n.env, n.a, n.b)
 	return true
 }
 
@@ -485,20 +368,6 @@ func (q *Queue) RunUntilExclusive(t config.Time, bound Seq) {
 	q.now = t
 }
 
-// Run executes events until the queue is empty or limit events have
-// fired; limit <= 0 means no limit. It returns the number of events
-// executed.
-func (q *Queue) Run(limit uint64) uint64 {
-	var n uint64
-	for limit <= 0 || n < limit {
-		if !q.Step() {
-			break
-		}
-		n++
-	}
-	return n
-}
-
 // NextAt returns the timestamp of the next event to fire and whether
 // one exists. A deferred schedule counts at its fire time (its
 // activation alone executes nothing observable).
@@ -538,35 +407,6 @@ func (q *Queue) popRoot() entry {
 		q.siftDown(0)
 	}
 	return root
-}
-
-// heapRemove deletes the entry at heap position i (eager cancellation).
-func (q *Queue) heapRemove(i int) {
-	n := len(q.heap) - 1
-	last := q.heap[n]
-	q.heap[n] = entry{}
-	q.heap = q.heap[:n]
-	if i == n {
-		return
-	}
-	q.heap[i] = last
-	q.siftDown(i)
-	if q.heap[i].idx == last.idx {
-		q.siftUp(i)
-	}
-}
-
-// heapFind scans for the heap position of the given node index. The
-// heap stays small (tens of entries), and only the cold paths — Cancel
-// and EventAt — need a position, so a scan beats maintaining per-node
-// positions on every sift move of the hot path.
-func (q *Queue) heapFind(idx int32) int {
-	for i := range q.heap {
-		if q.heap[i].idx == idx {
-			return i
-		}
-	}
-	panic("event: pending node missing from heap")
 }
 
 // The defers heap mirrors the main heap's 4-ary layout; entries are

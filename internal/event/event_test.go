@@ -9,16 +9,28 @@ import (
 	"memscale/internal/config"
 )
 
+// fire adapts a plain callback to the bound form; each call builds a
+// capturing closure, which is fine off the hot path.
+func fire(f func(now config.Time)) Bound {
+	return func(now config.Time, _ any, _, _ int32) { f(now) }
+}
+
+// drain steps q until no events remain.
+func drain(q *Queue) {
+	for q.Step() {
+	}
+}
+
 func TestFIFOAtSameInstant(t *testing.T) {
 	var q Queue
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		q.Schedule(100, func(config.Time) { order = append(order, i) })
+	var order []int32
+	rec := Bound(func(_ config.Time, _ any, a, _ int32) { order = append(order, a) })
+	for i := int32(0); i < 10; i++ {
+		q.ScheduleBound(100, rec, nil, i, 0)
 	}
-	q.Run(0)
+	drain(&q)
 	for i, v := range order {
-		if v != i {
+		if v != int32(i) {
 			t.Fatalf("same-instant events out of order: %v", order)
 		}
 	}
@@ -31,21 +43,22 @@ func TestFIFOAtSameInstantAfterRecycling(t *testing.T) {
 	// Same-instant FIFO must survive node recycling: burn slots through
 	// the pool first, then check ordering on reused slots.
 	var q Queue
+	nop := Bound(func(config.Time, any, int32, int32) {})
 	for i := 0; i < 32; i++ {
-		q.Schedule(config.Time(i), func(config.Time) {})
+		q.ScheduleBound(config.Time(i), nop, nil, 0, 0)
 	}
-	q.Run(0)
-	if q.FreeNodes() == 0 {
+	drain(&q)
+	if len(q.free) == 0 {
 		t.Fatal("pool should hold recycled slots")
 	}
-	var order []int
-	for i := 0; i < 16; i++ {
-		i := i
-		q.Schedule(1000, func(config.Time) { order = append(order, i) })
+	var order []int32
+	rec := Bound(func(_ config.Time, _ any, a, _ int32) { order = append(order, a) })
+	for i := int32(0); i < 16; i++ {
+		q.ScheduleBound(1000, rec, nil, i, 0)
 	}
-	q.Run(0)
+	drain(&q)
 	for i, v := range order {
-		if v != i {
+		if v != int32(i) {
 			t.Fatalf("recycled same-instant events out of order: %v", order)
 		}
 	}
@@ -56,9 +69,9 @@ func TestTimeOrdering(t *testing.T) {
 	times := []config.Time{50, 10, 30, 20, 40, 10, 50}
 	var fired []config.Time
 	for _, at := range times {
-		q.Schedule(at, func(now config.Time) { fired = append(fired, now) })
+		q.ScheduleBound(at, fire(func(now config.Time) { fired = append(fired, now) }), nil, 0, 0)
 	}
-	q.Run(0)
+	drain(&q)
 	if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
 		t.Fatalf("events fired out of time order: %v", fired)
 	}
@@ -67,117 +80,30 @@ func TestTimeOrdering(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	var q Queue
-	ran := false
-	h := q.Schedule(10, func(config.Time) { ran = true })
-	if !q.Pending(h) {
-		t.Error("event should report pending")
-	}
-	if at, ok := q.EventAt(h); !ok || at != 10 {
-		t.Errorf("EventAt = %v, %v", at, ok)
-	}
-	if !q.Cancel(h) {
-		t.Error("Cancel of a pending event must report true")
-	}
-	if q.Pending(h) {
-		t.Error("cancelled event still reports pending")
-	}
-	q.Run(0)
-	if ran {
-		t.Error("cancelled event ran")
-	}
-	if q.Cancel(h) {
-		t.Error("double cancel must report false")
-	}
-	if q.Cancel(Handle{}) {
-		t.Error("zero handle cancel must report false")
-	}
-}
-
-func TestCancelRemovesEagerly(t *testing.T) {
-	// A cancelled event must leave the heap immediately, not linger
-	// until its fire time (the old lazy-deletion leak).
-	var q Queue
-	handles := make([]Handle, 100)
-	for i := range handles {
-		handles[i] = q.Schedule(config.Time(1000+i), func(config.Time) {})
-	}
-	for _, h := range handles {
-		q.Cancel(h)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after cancelling everything, want 0 (eager removal)", q.Len())
-	}
-	if q.FreeNodes() != 100 {
-		t.Errorf("FreeNodes = %d, want 100 (cancelled nodes recycled)", q.FreeNodes())
-	}
-}
-
-func TestCancelledHandleCannotHitRecycledSlot(t *testing.T) {
-	// Generation safety: after a slot is recycled, a stale handle to
-	// its previous occupant must be inert.
-	var q Queue
-	h1 := q.Schedule(10, func(config.Time) { t.Error("cancelled event fired") })
-	q.Cancel(h1)
-
-	ran := false
-	h2 := q.Schedule(20, func(config.Time) { ran = true })
-	if h2.idx != h1.idx {
-		t.Fatalf("expected slot reuse: h1.idx=%d h2.idx=%d", h1.idx, h2.idx)
-	}
-	if q.Cancel(h1) {
-		t.Error("stale handle cancelled the slot's new occupant")
-	}
-	q.Run(0)
-	if !ran {
-		t.Error("event killed by a stale handle to a recycled slot")
-	}
-}
-
-func TestFiredHandleCannotHitRecycledSlot(t *testing.T) {
-	// Same generation check for handles to already-fired events.
-	var q Queue
-	h1 := q.Schedule(10, func(config.Time) {})
-	q.Run(0)
-	ran := false
-	h2 := q.Schedule(20, func(config.Time) { ran = true })
-	if h2.idx != h1.idx {
-		t.Fatalf("expected slot reuse: h1.idx=%d h2.idx=%d", h1.idx, h2.idx)
-	}
-	if q.Pending(h1) {
-		t.Error("fired handle reports pending after slot reuse")
-	}
-	if q.Cancel(h1) {
-		t.Error("fired handle cancelled the slot's new occupant")
-	}
-	q.Run(0)
-	if !ran {
-		t.Error("event killed by a stale fired handle")
-	}
-}
-
 func TestPoolReuse(t *testing.T) {
 	// A self-rescheduling chain must reach steady state with a pool no
-	// larger than its concurrency (one pending event at a time).
+	// larger than its concurrency (one pending event at a time): once
+	// warm, whole chains run without allocating.
 	var q Queue
 	n := 0
-	var tick Handler
-	tick = func(now config.Time) {
+	var tick Bound
+	tick = func(now config.Time, _ any, _, _ int32) {
 		n++
-		if n < 10000 {
-			q.Schedule(now+1, tick)
+		if n%100 != 0 {
+			q.ScheduleBound(now+1, tick, nil, 0, 0)
 		}
 	}
-	q.Schedule(0, tick)
-	q.Run(0)
-	if n != 10000 {
-		t.Fatalf("fired %d, want 10000", n)
+	allocs := testing.AllocsPerRun(100, func() {
+		q.ScheduleBound(q.Now(), tick, nil, 0, 0)
+		drain(&q)
+	})
+	if n != 101*100 {
+		t.Fatalf("fired %d, want %d", n, 101*100)
 	}
 	// Step releases the node before invoking the handler, so the chain
 	// needs exactly one slot.
-	if q.PoolSize() != 1 {
-		t.Errorf("PoolSize = %d for a 1-deep chain, want 1", q.PoolSize())
+	if allocs != 0 || len(q.nodes) != 1 {
+		t.Errorf("%v allocs per chain, pool of %d slots; want 0 and 1", allocs, len(q.nodes))
 	}
 }
 
@@ -192,7 +118,7 @@ func TestScheduleBound(t *testing.T) {
 	})
 	q.ScheduleBound(5, fn, e, 7, -3)
 	q.AfterBound(10, fn, e, 1, 2)
-	q.Run(0)
+	drain(&q)
 	if e.hits != 2 {
 		t.Fatalf("bound handler hits = %d, want 2", e.hits)
 	}
@@ -205,37 +131,28 @@ func TestScheduleBound(t *testing.T) {
 }
 
 func TestBoundAndClosureInterleave(t *testing.T) {
-	// Bound and closure events at the same instant keep schedule order.
+	// A shared pre-bound callback and capturing closures at the same
+	// instant keep schedule order.
 	var q Queue
-	var order []int
-	q.Schedule(10, func(config.Time) { order = append(order, 0) })
-	q.ScheduleBound(10, func(config.Time, any, int32, int32) { order = append(order, 1) }, nil, 0, 0)
-	q.Schedule(10, func(config.Time) { order = append(order, 2) })
-	q.Run(0)
+	var order []int32
+	shared := Bound(func(_ config.Time, _ any, a, _ int32) { order = append(order, a) })
+	q.ScheduleBound(10, fire(func(config.Time) { order = append(order, 0) }), nil, 0, 0)
+	q.ScheduleBound(10, shared, nil, 1, 0)
+	q.ScheduleBound(10, fire(func(config.Time) { order = append(order, 2) }), nil, 0, 0)
+	drain(&q)
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("interleaved order = %v", order)
-	}
-}
-
-func TestCancelFromHandler(t *testing.T) {
-	var q Queue
-	ran := false
-	victim := q.Schedule(20, func(config.Time) { ran = true })
-	q.Schedule(10, func(config.Time) { q.Cancel(victim) })
-	q.Run(0)
-	if ran {
-		t.Error("event cancelled from an earlier handler still ran")
 	}
 }
 
 func TestScheduleFromHandler(t *testing.T) {
 	var q Queue
 	var seen []config.Time
-	q.Schedule(10, func(now config.Time) {
+	q.ScheduleBound(10, fire(func(now config.Time) {
 		seen = append(seen, now)
-		q.After(5, func(now config.Time) { seen = append(seen, now) })
-	})
-	q.Run(0)
+		q.AfterBound(5, fire(func(now config.Time) { seen = append(seen, now) }), nil, 0, 0)
+	}), nil, 0, 0)
+	drain(&q)
 	if len(seen) != 2 || seen[0] != 10 || seen[1] != 15 {
 		t.Fatalf("nested scheduling: %v", seen)
 	}
@@ -245,7 +162,7 @@ func TestRunUntil(t *testing.T) {
 	var q Queue
 	var fired []config.Time
 	for _, at := range []config.Time{5, 10, 15, 20} {
-		q.Schedule(at, func(now config.Time) { fired = append(fired, now) })
+		q.ScheduleBound(at, fire(func(now config.Time) { fired = append(fired, now) }), nil, 0, 0)
 	}
 	q.RunUntil(10)
 	if len(fired) != 2 {
@@ -265,14 +182,15 @@ func TestRunUntil(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	var q Queue
-	q.Schedule(10, func(config.Time) {})
-	q.Run(0)
+	nop := Bound(func(config.Time, any, int32, int32) {})
+	q.ScheduleBound(10, nop, nil, 0, 0)
+	drain(&q)
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past must panic")
 		}
 	}()
-	q.Schedule(5, func(config.Time) {})
+	q.ScheduleBound(5, nop, nil, 0, 0)
 }
 
 func TestNegativeAfterPanics(t *testing.T) {
@@ -282,17 +200,25 @@ func TestNegativeAfterPanics(t *testing.T) {
 			t.Error("negative After delay must panic")
 		}
 	}()
-	q.After(-1, func(config.Time) {})
+	q.AfterBound(-1, func(config.Time, any, int32, int32) {}, nil, 0, 0)
 }
 
 func TestNilHandlerPanics(t *testing.T) {
-	var q Queue
-	defer func() {
-		if recover() == nil {
-			t.Error("nil handler must panic")
-		}
-	}()
-	q.Schedule(1, nil)
+	for name, schedule := range map[string]func(q *Queue){
+		"AfterBound":       func(q *Queue) { q.AfterBound(1, nil, nil, 0, 0) },
+		"ScheduleBoundSeq": func(q *Queue) { q.ScheduleBoundSeq(1, q.ReserveSeq(), nil, nil, 0, 0) },
+		"ScheduleVia":      func(q *Queue) { q.ScheduleVia(1, 2, nil, nil, 0, 0) },
+		"ScheduleViaSeq":   func(q *Queue) { q.ScheduleViaSeq(1, q.ReserveSeq(), 2, nil, nil, 0, 0) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("nil handler must panic")
+				}
+			}()
+			schedule(&Queue{})
+		})
+	}
 }
 
 func TestNilBoundHandlerPanics(t *testing.T) {
@@ -307,17 +233,25 @@ func TestNilBoundHandlerPanics(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	var q Queue
+	nop := Bound(func(config.Time, any, int32, int32) {})
 	for i := 0; i < 5; i++ {
-		q.Schedule(config.Time(i), func(config.Time) {})
+		q.ScheduleBound(config.Time(i), nop, nil, 0, 0)
 	}
-	h := q.Schedule(99, func(config.Time) {})
-	q.Cancel(h)
-	q.Run(0)
+	q.ScheduleVia(10, 20, nop, nil, 0, 0)
+	withdrawn := q.ReserveSeq()
+	q.ScheduleViaSeq(30, withdrawn, 40, nop, nil, 0, 0)
+	if !q.CancelDeferred(withdrawn) {
+		t.Fatal("CancelDeferred of a pending deferred schedule must report true")
+	}
+	drain(&q)
 	if q.ScheduledTotal() != 6 {
 		t.Errorf("ScheduledTotal = %d, want 6", q.ScheduledTotal())
 	}
-	if q.Fired() != 5 {
-		t.Errorf("Fired = %d, want 5", q.Fired())
+	if q.Fired() != 6 {
+		t.Errorf("Fired = %d, want 6", q.Fired())
+	}
+	if q.Coalesced() != 2 {
+		t.Errorf("Coalesced = %d, want 2", q.Coalesced())
 	}
 	if q.Len() != 0 {
 		t.Errorf("Len = %d, want 0", q.Len())
@@ -329,49 +263,54 @@ func TestNextAt(t *testing.T) {
 	if _, ok := q.NextAt(); ok {
 		t.Error("empty queue should have no next event")
 	}
-	q.Schedule(42, func(config.Time) {})
+	q.ScheduleBound(42, func(config.Time, any, int32, int32) {}, nil, 0, 0)
 	if at, ok := q.NextAt(); !ok || at != 42 {
 		t.Errorf("NextAt = %v, %v", at, ok)
 	}
 }
 
 // TestRandomizedOrdering is a property test: for any batch of events
-// with random times and random cancellations, the survivors fire in
-// nondecreasing time order and cancelled events never fire.
+// with random times, some scheduled through the deferred plane and
+// some of those withdrawn, the survivors fire in nondecreasing time
+// order and withdrawn schedules never fire.
 func TestRandomizedOrdering(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var q Queue
 		count := int(n%64) + 1
-		type rec struct {
-			h         Handle
-			cancelled bool
-		}
-		recs := make([]*rec, count)
+		withdrawn := make([]bool, count)
 		firedAt := make([]config.Time, 0, count)
+		rec := Bound(func(now config.Time, _ any, i, _ int32) {
+			if withdrawn[i] {
+				t.Errorf("withdrawn event fired at %v", now)
+			}
+			firedAt = append(firedAt, now)
+		})
+		var tickets []Seq
+		var owners []int32
 		for i := 0; i < count; i++ {
-			r := &rec{}
-			recs[i] = r
 			at := config.Time(rng.Intn(1000))
-			r.h = q.Schedule(at, func(now config.Time) {
-				if r.cancelled {
-					t.Errorf("cancelled event fired at %v", now)
-				}
-				firedAt = append(firedAt, now)
-			})
+			if rng.Intn(2) == 0 {
+				q.ScheduleBound(at, rec, nil, int32(i), 0)
+				continue
+			}
+			s := q.ReserveSeq()
+			q.ScheduleViaSeq(at/2, s, at, rec, nil, int32(i), 0)
+			tickets = append(tickets, s)
+			owners = append(owners, int32(i))
 		}
 		survivors := count
-		for _, r := range recs {
+		for k, s := range tickets {
 			if rng.Intn(3) == 0 {
-				r.cancelled = true
-				q.Cancel(r.h)
+				withdrawn[owners[k]] = true
+				q.CancelDeferred(s)
 				survivors--
 			}
 		}
 		if q.Len() != survivors {
-			return false // eager removal must shrink the heap
+			return false // withdrawal must shrink the queue
 		}
-		q.Run(0)
+		drain(&q)
 		if len(firedAt) != survivors {
 			return false
 		}
@@ -386,14 +325,14 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	var q Queue
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.Schedule(q.Now()+config.Time(i%128), func(config.Time) {})
+		q.ScheduleBound(q.Now()+config.Time(i%128), func(config.Time, any, int32, int32) {}, nil, 0, 0)
 		if q.Len() > 1024 {
 			for q.Len() > 512 {
 				q.Step()
 			}
 		}
 	}
-	q.Run(0)
+	drain(&q)
 }
 
 // BenchmarkEventQueue is the zero-allocation reference: a warmed pool
@@ -420,25 +359,5 @@ func BenchmarkEventQueue(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	q.Run(0)
-}
-
-// BenchmarkEventQueueCancel measures the eager-removal path.
-func BenchmarkEventQueueCancel(b *testing.B) {
-	var q Queue
-	fn := Bound(func(config.Time, any, int32, int32) {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := q.ScheduleBound(q.Now()+config.Time(64+i%128), fn, nil, 0, 0)
-		q.ScheduleBound(q.Now()+config.Time(i%64), fn, nil, 0, 0)
-		q.Cancel(h)
-		if q.Len() > 1024 {
-			for q.Len() > 512 {
-				q.Step()
-			}
-		}
-	}
-	b.StopTimer()
-	q.Run(0)
+	drain(&q)
 }

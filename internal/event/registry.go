@@ -5,8 +5,11 @@ import (
 	"reflect"
 )
 
-// Registry is a Codec assembled from registered callback kinds. Each
-// simulator component registers its pre-bound callbacks under stable
+// Registry translates between live callback bindings and serializable
+// (kind, owner) payloads, assembled from registered callback kinds. Kind
+// names the callback family (e.g. a pre-bound controller method); owner
+// identifies which component or in-flight object the binding refers to.
+// Each simulator component registers its pre-bound callbacks under stable
 // kind names; the registry keys live callbacks by their code pointer —
 // method values of the same method share one code pointer across
 // receivers, so one registration covers every instance, with the
@@ -21,25 +24,12 @@ type regEntry struct {
 	// enc maps a pending event's env to an owner index; nil means the
 	// kind carries no env (env must be nil at encode).
 	enc func(env any) (int32, error)
-	// Exactly one of decB/decH is set, matching the callback form.
-	decB func(owner int32) (Bound, any, error)
-	decH func(owner int32) (Handler, error)
+	dec func(owner int32) (Bound, any, error)
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{byPtr: map[uintptr]*regEntry{}, byKind: map[string]*regEntry{}}
-}
-
-func (r *Registry) register(kind string, ptr uintptr, e *regEntry) {
-	if _, dup := r.byKind[kind]; dup {
-		panic(fmt.Sprintf("event: kind %q registered twice", kind))
-	}
-	if _, dup := r.byPtr[ptr]; dup {
-		panic(fmt.Sprintf("event: callback for kind %q already registered under another kind", kind))
-	}
-	r.byKind[kind] = e
-	r.byPtr[ptr] = e
 }
 
 // RegisterBound registers a bound-callback kind. sample supplies the
@@ -50,29 +40,21 @@ func (r *Registry) RegisterBound(kind string, sample Bound, enc func(env any) (i
 	if sample == nil || dec == nil {
 		panic("event: RegisterBound needs a sample callback and a decoder")
 	}
-	r.register(kind, reflect.ValueOf(sample).Pointer(), &regEntry{kind: kind, enc: enc, decB: dec})
+	ptr := reflect.ValueOf(sample).Pointer()
+	if _, dup := r.byKind[kind]; dup {
+		panic(fmt.Sprintf("event: kind %q registered twice", kind))
+	}
+	if _, dup := r.byPtr[ptr]; dup {
+		panic(fmt.Sprintf("event: callback for kind %q already registered under another kind", kind))
+	}
+	e := &regEntry{kind: kind, enc: enc, dec: dec}
+	r.byKind[kind] = e
+	r.byPtr[ptr] = e
 }
 
-// RegisterHandler registers a plain-handler kind (events scheduled via
-// Schedule/After carry no env or arguments).
-func (r *Registry) RegisterHandler(kind string, sample Handler, dec func(owner int32) (Handler, error)) {
-	if sample == nil || dec == nil {
-		panic("event: RegisterHandler needs a sample callback and a decoder")
-	}
-	r.register(kind, reflect.ValueOf(sample).Pointer(), &regEntry{kind: kind, decH: dec})
-}
-
-// Encode implements Codec.
-func (r *Registry) Encode(fn Handler, bfn Bound, env any) (string, int32, error) {
-	var ptr uintptr
-	switch {
-	case bfn != nil:
-		ptr = reflect.ValueOf(bfn).Pointer()
-	case fn != nil:
-		ptr = reflect.ValueOf(fn).Pointer()
-	default:
-		return "", 0, fmt.Errorf("event: encode of event with no callback")
-	}
+// Encode maps a pending event's callback binding to its payload.
+func (r *Registry) Encode(fn Bound, env any) (string, int32, error) {
+	ptr := reflect.ValueOf(fn).Pointer()
 	e, ok := r.byPtr[ptr]
 	if !ok {
 		return "", 0, fmt.Errorf("event: callback %v not registered for checkpointing", ptr)
@@ -90,19 +72,16 @@ func (r *Registry) Encode(fn Handler, bfn Bound, env any) (string, int32, error)
 	return e.kind, owner, nil
 }
 
-// Decode implements Codec.
-func (r *Registry) Decode(kind string, owner int32) (Handler, Bound, any, error) {
+// Decode rebuilds the live callback binding for a payload produced by
+// Encode.
+func (r *Registry) Decode(kind string, owner int32) (Bound, any, error) {
 	e, ok := r.byKind[kind]
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("event: unknown event kind %q", kind)
+		return nil, nil, fmt.Errorf("event: unknown event kind %q", kind)
 	}
-	if e.decH != nil {
-		fn, err := e.decH(owner)
-		return fn, nil, nil, err
-	}
-	bfn, env, err := e.decB(owner)
+	fn, env, err := e.dec(owner)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("event: kind %q: %w", kind, err)
+		return nil, nil, fmt.Errorf("event: kind %q: %w", kind, err)
 	}
-	return nil, bfn, env, nil
+	return fn, env, nil
 }

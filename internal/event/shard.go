@@ -2,7 +2,6 @@ package event
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"memscale/internal/config"
@@ -174,167 +173,4 @@ func (s *ShardSet) RunCross(at config.Time, tickets []Seq, fn func(now config.Ti
 	s.qs[0].scheduled++
 	s.qs[0].fired++
 	fn(at)
-}
-
-// Save captures the whole set as a single canonical Queue state: the
-// image of one queue that holds every pending event of every shard. A
-// one-shard set saves its queue verbatim. Otherwise entries are merged
-// in (time, seq) order — a sorted array is a valid 4-ary min-heap —
-// over a dense node arena with an empty free list, so loading the
-// state into one queue (or re-partitioning it across any shard count)
-// reproduces the same future behaviour.
-func (s *ShardSet) Save(codec Codec) (*State, error) {
-	if len(s.qs) == 1 {
-		return s.qs[0].Save(codec)
-	}
-	st := &State{Now: s.Now()}
-	for _, q := range s.qs {
-		if q.seq > st.Seq {
-			st.Seq = q.seq
-		}
-		if q.firing > st.Firing {
-			st.Firing = q.firing
-		}
-		st.Fired += q.fired
-		st.Scheduled += q.scheduled
-		st.Coalesced += q.coalesced
-	}
-	for _, q := range s.qs {
-		for _, e := range q.heap {
-			n := &q.nodes[e.idx]
-			kind, owner, err := codec.Encode(n.fn, n.bfn, n.env)
-			if err != nil {
-				return nil, fmt.Errorf("event: save shard entry: %w", err)
-			}
-			st.Heap = append(st.Heap, EntryState{At: e.at, Seq: e.seq})
-			st.Nodes = append(st.Nodes, NodeState{
-				Gen: 1, Pos: 0, Kind: kind, Owner: owner, A: n.a, B: n.b,
-			})
-		}
-		for i := range q.defers {
-			d := &q.defers[i]
-			kind, owner, err := codec.Encode(nil, d.bfn, d.env)
-			if err != nil {
-				return nil, fmt.Errorf("event: save shard deferred: %w", err)
-			}
-			st.Defers = append(st.Defers, DeferredState{
-				ActivateAt: d.activateAt, Seq: d.seq, FireAt: d.fireAt,
-				Kind: kind, Owner: owner, A: d.a, B: d.b,
-			})
-		}
-	}
-	// Nodes were appended in step with their heap entries; sort the
-	// entries into canonical (time, seq) order and renumber the node
-	// references to match.
-	order := make([]int, len(st.Heap))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := st.Heap[order[a]], st.Heap[order[b]]
-		if ea.At != eb.At {
-			return ea.At < eb.At
-		}
-		return ea.Seq < eb.Seq
-	})
-	heap := make([]EntryState, len(order))
-	nodes := make([]NodeState, len(order))
-	for i, o := range order {
-		heap[i] = st.Heap[o]
-		heap[i].Idx = int32(i)
-		nodes[i] = st.Nodes[o]
-	}
-	st.Heap, st.Nodes = heap, nodes
-	sort.Slice(st.Defers, func(a, b int) bool {
-		if st.Defers[a].ActivateAt != st.Defers[b].ActivateAt {
-			return st.Defers[a].ActivateAt < st.Defers[b].ActivateAt
-		}
-		return st.Defers[a].Seq < st.Defers[b].Seq
-	})
-	return st, nil
-}
-
-// ShardOf assigns a saved pending event to a shard. It receives the
-// encoded payload of the event; an error rejects the whole load (the
-// state contains an event the partition cannot place).
-type ShardOf func(kind string, owner, a, b int32) (int, error)
-
-// Load partitions a canonical queue state across the set's shards:
-// every pending event and deferred schedule goes to the shard shardOf
-// names, keeping its (time, seq) key, so the merged order — and
-// therefore future behaviour — is exactly the saved one. Totals are
-// carried on shard 0; sequence counters restart above the saved
-// counter in each shard's residue class. A one-shard set loads the
-// state verbatim and never consults shardOf.
-func (s *ShardSet) Load(st *State, codec Codec, shardOf ShardOf) error {
-	n := len(s.qs)
-	if n == 1 {
-		return s.qs[0].Load(st, codec)
-	}
-	parts := make([]*State, n)
-	for j := range parts {
-		parts[j] = &State{Now: st.Now, Firing: st.Firing}
-	}
-	parts[0].Fired = st.Fired
-	parts[0].Scheduled = st.Scheduled
-	parts[0].Coalesced = st.Coalesced
-	for _, e := range st.Heap {
-		if e.Idx < 0 || int(e.Idx) >= len(st.Nodes) {
-			return fmt.Errorf("event: shard load: heap idx %d out of range", e.Idx)
-		}
-		ns := st.Nodes[e.Idx]
-		if ns.Pos < 0 {
-			return fmt.Errorf("event: shard load: heap references free node %d", e.Idx)
-		}
-		j, err := shardOf(ns.Kind, ns.Owner, ns.A, ns.B)
-		if err != nil {
-			return fmt.Errorf("event: shard load: %w", err)
-		}
-		if j < 0 || j >= n {
-			return fmt.Errorf("event: shard load: kind %q assigned to shard %d of %d", ns.Kind, j, n)
-		}
-		p := parts[j]
-		p.Heap = append(p.Heap, EntryState{At: e.At, Seq: e.Seq, Idx: int32(len(p.Nodes))})
-		p.Nodes = append(p.Nodes, NodeState{Gen: 1, Pos: 0, Kind: ns.Kind, Owner: ns.Owner, A: ns.A, B: ns.B})
-	}
-	for _, d := range st.Defers {
-		j, err := shardOf(d.Kind, d.Owner, d.A, d.B)
-		if err != nil {
-			return fmt.Errorf("event: shard load deferred: %w", err)
-		}
-		if j < 0 || j >= n {
-			return fmt.Errorf("event: shard load: deferred kind %q assigned to shard %d of %d", d.Kind, j, n)
-		}
-		parts[j].Defers = append(parts[j].Defers, d)
-	}
-	for j, p := range parts {
-		// Per-shard entries in (time, seq) order: the subsequence of the
-		// canonical order owned by this shard, again a valid heap.
-		sort.Slice(p.Heap, func(a, b int) bool {
-			if p.Heap[a].At != p.Heap[b].At {
-				return p.Heap[a].At < p.Heap[b].At
-			}
-			return p.Heap[a].Seq < p.Heap[b].Seq
-		})
-		nodes := make([]NodeState, len(p.Heap))
-		for i := range p.Heap {
-			nodes[i] = p.Nodes[p.Heap[i].Idx]
-			p.Heap[i].Idx = int32(i)
-		}
-		p.Nodes = nodes
-		sort.Slice(p.Defers, func(a, b int) bool {
-			if p.Defers[a].ActivateAt != p.Defers[b].ActivateAt {
-				return p.Defers[a].ActivateAt < p.Defers[b].ActivateAt
-			}
-			return p.Defers[a].Seq < p.Defers[b].Seq
-		})
-		if err := s.qs[j].Load(p, codec); err != nil {
-			return fmt.Errorf("event: shard %d load: %w", j, err)
-		}
-		// Resume allocation above the saved counter, in this shard's
-		// residue class of the set's stride.
-		s.qs[j].seq = st.Seq + uint64(j)
-		s.qs[j].stride = uint64(n)
-	}
-	return nil
 }

@@ -25,9 +25,9 @@ func BenchmarkControllerEpoch(b *testing.B) {
 	mapper := config.NewAddressMapper(&cfg)
 
 	lines := make([]uint64, cfg.Cores)
-	var issue func(core int) event.Handler
-	issue = func(core int) event.Handler {
-		var h event.Handler
+	var issue func(core int) func(config.Time)
+	issue = func(core int) func(config.Time) {
+		var h func(config.Time)
 		h = func(now config.Time) {
 			lines[core]++
 			// Stride across banks and rows per core so the benchmark

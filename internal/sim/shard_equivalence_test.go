@@ -255,7 +255,7 @@ func TestLegacyStormRestore(t *testing.T) {
 	ev := ck.Events
 	ev.Seq++
 	ev.Scheduled++
-	ev.Nodes = append(ev.Nodes, event.NodeState{Gen: 1, Kind: "sim.force_refresh"})
+	ev.Nodes = append(ev.Nodes, event.NodeState{Kind: "sim.force_refresh"})
 	ev.Heap = append(ev.Heap, event.EntryState{
 		At: ev.Now + config.Microsecond, Seq: ev.Seq, Idx: int32(len(ev.Nodes) - 1)})
 	sort.Slice(ev.Heap, func(a, b int) bool {

@@ -131,6 +131,9 @@ func (s *System) shardOf(mc *memctrl.ControllerState) event.ShardOf {
 			// shard; reuse the binding directly rather than re-deriving
 			// it from the stream's placement.
 			return s.coreShard[owner], nil
+		case "sim.force_refresh":
+			// Restore pins a state holding a queued burst to one shard.
+			return 0, nil
 		default:
 			return 0, fmt.Errorf("sim: event kind %q has no shard assignment", kind)
 		}
@@ -155,8 +158,8 @@ func (s *System) Save() (*SystemState, error) {
 	tbl := memctrl.NewRequestTable()
 	mcState := s.MC.Save(tbl)
 	codec := s.registry(tbl.EncodeEnv, nil)
-	// The canonical merged image: the same queue state a one-shard run
-	// would save, so the checkpoint restores under any shard count.
+	// One canonical image at every shard count, so the checkpoint
+	// restores under any shard count.
 	evState, err := s.shards.Save(codec)
 	if err != nil {
 		return nil, err
