@@ -20,9 +20,13 @@
 //
 // Besides ceilings, the guard enforces minimum floors on custom
 // metrics — e.g. BenchmarkForkedSweep must keep its warm-speedup-x at
-// or above 1.8, so losing the warm-start fast path fails CI. A floor
-// is only enforced when the run emitted the metric, and every floored
-// metric the run did emit is persisted into the report's
+// or above 1.8, so losing the warm-start fast path fails CI. A floored
+// metric the run did not emit is itself a violation when the run was
+// capable of emitting it: the host has at least 2 CPUs and the
+// benchmark ran at GOMAXPROCS >= 2 (the -N suffix go test appends to
+// its name), the condition under which the parallel benchmarks report
+// speedup-x. On a one-CPU host a missing floored metric passes. Every
+// floored metric the run did emit is persisted into the report's
 // min_metric_values block next to its floor, so the recorded
 // BENCH_*.json answers "what speedup did CI actually measure?".
 //
@@ -40,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -105,6 +110,9 @@ var defaultMinMetrics = map[string]map[string]float64{
 }
 
 type result struct {
+	// Procs is the GOMAXPROCS the benchmark ran at, read from the -N
+	// suffix of its name (go test omits the suffix at 1).
+	Procs       int                `json:"procs,omitempty"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	AllocsPerOp int64              `json:"allocs_per_op"`
 	BytesPerOp  int64              `json:"bytes_per_op"`
@@ -133,18 +141,19 @@ type report struct {
 //
 //	BenchmarkSingleRun-8   3   202072 ns/op   7537 events/op   12 B/op   3 allocs/op
 //
-// returning the benchmark name (GOMAXPROCS suffix stripped) and the
-// parsed result; ok is false for non-benchmark lines. Custom metric
-// columns are optional: a plain ns/op-only line parses fine.
+// returning the benchmark name (GOMAXPROCS suffix stripped into
+// r.Procs) and the parsed result; ok is false for non-benchmark lines.
+// Custom metric columns are optional: a plain ns/op-only line parses
+// fine.
 func parseLine(line string) (name string, r result, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return "", result{}, false
 	}
-	name = fields[0]
+	name, r.Procs = fields[0], 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, r.Procs = name[:i], n
 		}
 	}
 	r.Metrics = map[string]float64{}
@@ -257,6 +266,34 @@ func parseMinMetrics(spec string, into map[string]map[string]float64) error {
 	return nil
 }
 
+// checkFloors holds one benchmark's result to its metric floors,
+// recording every emitted value in rep.MinMetricValues. A floored
+// metric the run did not emit is a violation when the run was capable
+// of emitting it — numCPU >= 2 and the benchmark at GOMAXPROCS >= 2 —
+// and a pass otherwise.
+func checkFloors(rep *report, name string, r result, floors map[string]float64, numCPU int) {
+	capable := numCPU >= 2 && r.Procs >= 2
+	for metric, floor := range floors {
+		v, reported := r.Metrics[metric]
+		if !reported {
+			if capable {
+				rep.Violations = append(rep.Violations, fmt.Sprintf(
+					"%s did not report %s (floor %.3f) on a capable host (%d CPUs, GOMAXPROCS %d)",
+					name, metric, floor, numCPU, r.Procs))
+			}
+			continue
+		}
+		if rep.MinMetricValues[name] == nil {
+			rep.MinMetricValues[name] = map[string]float64{}
+		}
+		rep.MinMetricValues[name][metric] = v
+		if v < floor {
+			rep.Violations = append(rep.Violations, fmt.Sprintf(
+				"%s reported %s = %.3f, floor %.3f", name, metric, v, floor))
+		}
+	}
+}
+
 func main() {
 	out := flag.String("out", "BENCH_5.json", "write the JSON benchmark report to this file")
 	budgetSpec := flag.String("max-allocs", "",
@@ -361,23 +398,8 @@ func main() {
 		}
 	}
 	for name, floors := range minMetrics {
-		r, ran := rep.Benchmarks[name]
-		if !ran {
-			continue
-		}
-		for metric, floor := range floors {
-			v, reported := r.Metrics[metric]
-			if !reported {
-				continue // floors only bind when the run emitted the metric
-			}
-			if rep.MinMetricValues[name] == nil {
-				rep.MinMetricValues[name] = map[string]float64{}
-			}
-			rep.MinMetricValues[name][metric] = v
-			if v < floor {
-				rep.Violations = append(rep.Violations, fmt.Sprintf(
-					"%s reported %s = %.3f, floor %.3f", name, metric, v, floor))
-			}
+		if r, ran := rep.Benchmarks[name]; ran {
+			checkFloors(&rep, name, r, floors, runtime.NumCPU())
 		}
 	}
 

@@ -75,3 +75,59 @@ func TestParseBudgets(t *testing.T) {
 		t.Error("non-numeric budget must error")
 	}
 }
+
+func TestParseLineProcs(t *testing.T) {
+	for line, want := range map[string]int{
+		"BenchmarkSingleRunParallel-4   1   5e9 ns/op": 4,
+		"BenchmarkSingleRunParallel   1   5e9 ns/op":   1,
+	} {
+		if _, r, ok := parseLine(line); !ok || r.Procs != want {
+			t.Errorf("parseLine(%q): ok=%v procs=%d, want %d", line, ok, r.Procs, want)
+		}
+	}
+}
+
+// floorReport runs checkFloors for one BenchmarkSingleRunParallel
+// result under its default floor.
+func floorReport(line string, numCPU int) report {
+	rep := report{MinMetricValues: map[string]map[string]float64{}}
+	name, r, _ := parseLine(line)
+	checkFloors(&rep, name, r, defaultMinMetrics[name], numCPU)
+	return rep
+}
+
+func TestFloorMissingOnCapableHost(t *testing.T) {
+	rep := floorReport("BenchmarkSingleRunParallel-2   1   5e9 ns/op   2000 allocs/op", 2)
+	if len(rep.Violations) != 1 {
+		t.Fatalf("violations = %q, want one for the missing speedup-x", rep.Violations)
+	}
+}
+
+func TestFloorPresentOnCapableHost(t *testing.T) {
+	rep := floorReport("BenchmarkSingleRunParallel-2   1   5e9 ns/op   1.6 speedup-x", 2)
+	if len(rep.Violations) != 0 {
+		t.Fatalf("violations = %q, want none", rep.Violations)
+	}
+	if got := rep.MinMetricValues["BenchmarkSingleRunParallel"]["speedup-x"]; got != 1.6 {
+		t.Errorf("recorded speedup-x = %v, want 1.6", got)
+	}
+	rep = floorReport("BenchmarkSingleRunParallel-2   1   5e9 ns/op   1.1 speedup-x", 2)
+	if len(rep.Violations) != 1 {
+		t.Errorf("violations = %q, want one for speedup-x below its floor", rep.Violations)
+	}
+}
+
+func TestFloorMissingOnOneCPUHost(t *testing.T) {
+	for _, c := range []struct {
+		line   string
+		numCPU int
+	}{
+		{"BenchmarkSingleRunParallel   1   5e9 ns/op", 1},   // one CPU, GOMAXPROCS 1
+		{"BenchmarkSingleRunParallel   1   5e9 ns/op", 4},   // GOMAXPROCS 1 on a multi-CPU host
+		{"BenchmarkSingleRunParallel-4   1   5e9 ns/op", 1}, // GOMAXPROCS above a one-CPU host
+	} {
+		if rep := floorReport(c.line, c.numCPU); len(rep.Violations) != 0 {
+			t.Errorf("%q on %d CPUs: violations %q, want none", c.line, c.numCPU, rep.Violations)
+		}
+	}
+}

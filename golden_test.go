@@ -8,7 +8,7 @@ import (
 
 // TestGoldenDeterminism pins bit-exact RunSummary values captured on
 // the pre-rewrite event core (container/heap queue, closure handlers,
-// slice-based controller queues). The pooled flat-heap core, the
+// slice-based controller queues). The pooled sorted-slice core, the
 // ring-buffer controller queues, and the pre-bound callbacks must
 // reproduce every energy total, CPI ratio, frequency residency, and
 // fault count to the last bit — the rewrite is a pure mechanical

@@ -8,15 +8,24 @@
 //
 // The queue is built for a zero-allocation steady state: event nodes
 // live in a pooled arena and are recycled through a free list after
-// they fire, the priority queue is a flat 4-ary min-heap of (time, seq)
-// keys with no interface boxing, and every callback is a pre-bound
-// Bound with inline arguments, so scheduling never captures a closure.
-// The (time, seq) key is unique, so pop order is a total order that no
-// heap layout can change.
+// they fire, the priority queue is a flat slice of (time, seq) keys
+// kept sorted in descending order with no interface boxing, and every
+// callback is a pre-bound Bound with inline arguments, so scheduling
+// never captures a closure.
+//
+// The next event is always the last element, so a pop is one slice
+// truncation and an insert scans from the tail for its slot and opens
+// it with one copy. Insertion is O(pending), which beats a heap's
+// O(log pending) sifts because the pending set stays small — bounded
+// by cores plus ranks plus in-flight bank and bus events, about 30 on
+// the paper's 16-core mixes — and most new events land a few ns ahead,
+// near the tail. The (time, seq) key is unique, so pop order is a
+// total order that no layout can change.
 package event
 
 import (
 	"fmt"
+	"slices"
 
 	"memscale/internal/config"
 )
@@ -28,7 +37,7 @@ import (
 // through env/a/b.
 type Bound func(now config.Time, env any, a, b int32)
 
-// entry is one element of the flat 4-ary min-heap: the ordering key
+// entry is one element of the pending slice: the ordering key
 // (time, then schedule sequence for same-instant FIFO) plus the index
 // of the pooled node carrying the callback.
 type entry struct {
@@ -45,8 +54,8 @@ func entryLess(a, b entry) bool {
 }
 
 // node is one pooled event: the callback and its inline arguments.
-// Heap entries name their node by index, so sift moves are pure entry
-// copies.
+// Pending entries name their node by index, so inserts move only
+// pointer-free entries.
 type node struct {
 	bfn  Bound
 	env  any
@@ -55,8 +64,8 @@ type node struct {
 
 // deferred is one lazily materialized schedule (see ScheduleVia): at
 // the activation point — among same-instant events, exactly where the
-// ticket was positioned — the target callback is pushed onto the heap
-// with a fresh sequence number, as if a trampoline event had fired
+// ticket was positioned — the target callback is pushed as a pending
+// event with a fresh sequence number, as if a trampoline event had fired
 // there and scheduled it.
 type deferred struct {
 	activateAt config.Time
@@ -77,15 +86,17 @@ func deferredBefore(d *deferred, e entry) bool {
 // Queue is the event priority queue and simulation clock.
 // The zero value is ready to use.
 type Queue struct {
-	heap  []entry
-	nodes []node
-	free  []int32
-	now   config.Time
-	seq   uint64
+	// pending is sorted by descending (at, seq): the next event to fire
+	// is the last element.
+	pending []entry
+	nodes   []node
+	free    []int32
+	now     config.Time
+	seq     uint64
 
-	// defers is a second 4-ary min-heap, keyed (activateAt, seq), of
-	// lazily materialized schedules. Entries migrate to the main heap
-	// when processing reaches their activation position.
+	// defers holds the lazily materialized schedules, sorted by
+	// descending (activateAt, seq) like pending. Entries migrate to
+	// pending when processing reaches their activation position.
 	defers []deferred
 
 	fired     uint64
@@ -116,7 +127,7 @@ func (q *Queue) Now() config.Time { return q.now }
 
 // Len returns the number of pending events, counting deferred
 // schedules that have not yet materialized.
-func (q *Queue) Len() int { return len(q.heap) + len(q.defers) }
+func (q *Queue) Len() int { return len(q.pending) + len(q.defers) }
 
 // Fired returns the number of events executed so far.
 func (q *Queue) Fired() uint64 { return q.fired }
@@ -144,7 +155,7 @@ func (q *Queue) push(at config.Time, seq uint64, fn Bound, env any, a, b int32) 
 		idx = int32(len(q.nodes))
 		q.nodes = append(q.nodes, n)
 	}
-	q.heapPush(entry{at: at, seq: seq, idx: idx})
+	q.insert(entry{at: at, seq: seq, idx: idx})
 }
 
 // ScheduleBound queues a pre-bound callback: fn(at, env, a, b) runs at
@@ -201,14 +212,14 @@ func (q *Queue) ScheduleBoundSeq(at config.Time, seq Seq, fn Bound, env any, a, 
 // ScheduleVia is the deferred-schedule fast path: it is semantically
 // identical to scheduling, at activateAt, a trampoline event whose
 // only action is to schedule fn at fireAt — but the trampoline never
-// enters the event heap and never fires. The call consumes one
+// becomes a pending event and never fires. The call consumes one
 // ordering ticket (the trampoline's schedule position); when queue
 // processing reaches the activation position — after every event that
 // precedes (activateAt, ticket) and before every event that follows
 // it — the target is pushed with a fresh sequence number, exactly the
 // number the eager trampoline's fire would have assigned. Same-instant
 // FIFO order is therefore preserved bit-exactly while the trampoline's
-// heap traffic, node, and callback dispatch disappear.
+// insert, node, and callback dispatch disappear.
 //
 // The activation must not lie in the past. Deferred schedules cannot
 // be cancelled; use a real event when cancellation is needed.
@@ -255,7 +266,8 @@ func (q *Queue) ScheduleViaSeq(activateAt config.Time, seq Seq, fireAt config.Ti
 func (q *Queue) CancelDeferred(seq Seq) bool {
 	for i := range q.defers {
 		if q.defers[i].seq == uint64(seq) {
-			q.deferRemove(i)
+			// Delete zeroes the vacated tail slot, dropping its references.
+			q.defers = slices.Delete(q.defers, i, i+1)
 			return true
 		}
 	}
@@ -271,17 +283,6 @@ func (q *Queue) materializeDeferred() {
 	q.push(d.fireAt, q.bump(), d.bfn, d.env, d.a, d.b)
 }
 
-// settleDeferred materializes every deferred schedule whose activation
-// position precedes the next pending event.
-func (q *Queue) settleDeferred() {
-	for len(q.defers) > 0 {
-		if len(q.heap) > 0 && !deferredBefore(&q.defers[0], q.heap[0]) {
-			break
-		}
-		q.materializeDeferred()
-	}
-}
-
 // AfterBound queues a pre-bound callback d after the current time.
 func (q *Queue) AfterBound(d config.Time, fn Bound, env any, a, b int32) {
 	if d < 0 {
@@ -295,15 +296,19 @@ func (q *Queue) AfterBound(d config.Time, fn Bound, env any, a, b int32) {
 // recycled before the callback runs, so a callback scheduling a new
 // event may reuse the slot.
 func (q *Queue) Step() bool {
-	// Inline settleDeferred's guard: the per-step common case (no
-	// deferred schedule due) must not pay a function call.
-	for len(q.defers) > 0 && (len(q.heap) == 0 || deferredBefore(&q.defers[0], q.heap[0])) {
+	// Materialize every deferred schedule whose activation position
+	// precedes the next pending event. The guard is inline so the
+	// per-step common case (none due) pays no function call.
+	for len(q.defers) > 0 && (len(q.pending) == 0 ||
+		deferredBefore(&q.defers[len(q.defers)-1], q.pending[len(q.pending)-1])) {
 		q.materializeDeferred()
 	}
-	if len(q.heap) == 0 {
+	last := len(q.pending) - 1
+	if last < 0 {
 		return false
 	}
-	e := q.popRoot()
+	e := q.pending[last]
+	q.pending = q.pending[:last] // entries hold no pointers; no need to zero
 	n := q.nodes[e.idx]
 	// Drop the callback references so the pool retains nothing.
 	q.nodes[e.idx] = node{}
@@ -323,7 +328,7 @@ func (q *Queue) RunUntil(deadline config.Time) {
 		panic(fmt.Sprintf("event: RunUntil(%v) before now %v", deadline, q.now))
 	}
 	for {
-		if len(q.heap) > 0 && q.heap[0].at <= deadline {
+		if n := len(q.pending); n > 0 && q.pending[n-1].at <= deadline {
 			q.Step()
 			continue
 		}
@@ -331,7 +336,7 @@ func (q *Queue) RunUntil(deadline config.Time) {
 		// within the deadline still migrate: their trampolines would
 		// have fired by now, and the targets they produce may
 		// themselves fire before the deadline.
-		if len(q.defers) > 0 && q.defers[0].activateAt <= deadline {
+		if n := len(q.defers); n > 0 && q.defers[n-1].activateAt <= deadline {
 			q.materializeDeferred()
 			continue
 		}
@@ -355,11 +360,11 @@ func (q *Queue) RunUntilExclusive(t config.Time, bound Seq) {
 		return at < t || (at == t && seq < uint64(bound))
 	}
 	for {
-		if len(q.heap) > 0 && before(q.heap[0].at, q.heap[0].seq) {
+		if n := len(q.pending); n > 0 && before(q.pending[n-1].at, q.pending[n-1].seq) {
 			q.Step()
 			continue
 		}
-		if len(q.defers) > 0 && before(q.defers[0].activateAt, q.defers[0].seq) {
+		if n := len(q.defers); n > 0 && before(q.defers[n-1].activateAt, q.defers[n-1].seq) {
 			q.materializeDeferred()
 			continue
 		}
@@ -372,10 +377,10 @@ func (q *Queue) RunUntilExclusive(t config.Time, bound Seq) {
 // one exists. A deferred schedule counts at its fire time (its
 // activation alone executes nothing observable).
 func (q *Queue) NextAt() (config.Time, bool) {
-	ok := len(q.heap) > 0
+	ok := len(q.pending) > 0
 	at := config.Time(0)
 	if ok {
-		at = q.heap[0].at
+		at = q.pending[len(q.pending)-1].at
 	}
 	for i := range q.defers {
 		if f := q.defers[i].fireAt; !ok || f < at {
@@ -385,135 +390,40 @@ func (q *Queue) NextAt() (config.Time, bool) {
 	return at, ok
 }
 
-// The heap is 4-ary: parent of i is (i-1)/4, children are 4i+1..4i+4.
-// A wider node trades deeper comparisons per level for half the levels
-// and better cache behaviour on the flat entry slice — the classic
-// d-ary win for queues dominated by inserts that stay near the leaves.
-
-// heapPush appends e and restores the heap property upward.
-func (q *Queue) heapPush(e entry) {
-	q.heap = append(q.heap, e)
-	q.siftUp(len(q.heap) - 1)
-}
-
-// popRoot removes and returns the minimum entry.
-func (q *Queue) popRoot() entry {
-	root := q.heap[0]
-	n := len(q.heap) - 1
-	last := q.heap[n]
-	q.heap = q.heap[:n] // entries hold no pointers; no need to zero
-	if n > 0 {
-		q.heap[0] = last
-		q.siftDown(0)
-	}
-	return root
-}
-
-// The defers heap mirrors the main heap's 4-ary layout; entries are
-// self-contained values, so sifting moves no node bookkeeping.
-
-func (q *Queue) deferPush(d deferred) {
-	q.defers = append(q.defers, d)
-	h := q.defers
+// insert places e in pending, keeping the slice sorted by descending
+// (at, seq). It scans from the tail, where most new events land, and
+// opens the slot with one copy.
+func (q *Queue) insert(e entry) {
+	h := append(q.pending, e)
 	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !deferredLess(&d, &h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+	for i > 0 && entryLess(h[i-1], e) {
+		i--
 	}
+	copy(h[i+1:], h[i:len(h)-1])
+	h[i] = e
+	q.pending = h
+}
+
+// deferPush places d in defers, keeping the slice sorted by descending
+// (activateAt, seq).
+func (q *Queue) deferPush(d deferred) {
+	h := append(q.defers, d)
+	i := len(h) - 1
+	for i > 0 && deferredLess(&h[i-1], &d) {
+		i--
+	}
+	copy(h[i+1:], h[i:len(h)-1])
 	h[i] = d
+	q.defers = h
 }
 
+// deferPop removes and returns the earliest deferred schedule.
 func (q *Queue) deferPop() deferred {
-	h := q.defers
-	root := h[0]
-	n := len(h) - 1
-	d := h[n]
-	h[n] = deferred{} // drop the callback/env references
-	q.defers = h[:n]
-	h = q.defers
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if deferredLess(&h[j], &h[m]) {
-				m = j
-			}
-		}
-		if !deferredLess(&h[m], &d) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	if n > 0 {
-		h[i] = d
-	}
-	return root
-}
-
-// deferRemove deletes the defers entry at heap position i.
-func (q *Queue) deferRemove(i int) {
-	h := q.defers
-	n := len(h) - 1
-	last := h[n]
-	h[n] = deferred{}
-	q.defers = h[:n]
-	if i == n {
-		return
-	}
-	h = q.defers
-	h[i] = last
-	// Restore the heap property in whichever direction the moved entry
-	// violates it.
-	q.deferSiftDown(i)
-	if h[i].seq == last.seq && h[i].activateAt == last.activateAt {
-		for i > 0 {
-			p := (i - 1) / 4
-			if !deferredLess(&h[i], &h[p]) {
-				break
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-	}
-}
-
-func (q *Queue) deferSiftDown(i int) {
-	h := q.defers
-	n := len(h)
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if deferredLess(&h[j], &h[m]) {
-				m = j
-			}
-		}
-		if !deferredLess(&h[m], &h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
+	n := len(q.defers) - 1
+	d := q.defers[n]
+	q.defers[n] = deferred{} // drop the callback/env references
+	q.defers = q.defers[:n]
+	return d
 }
 
 func deferredLess(a, b *deferred) bool {
@@ -521,46 +431,4 @@ func deferredLess(a, b *deferred) bool {
 		return a.activateAt < b.activateAt
 	}
 	return a.seq < b.seq
-}
-
-func (q *Queue) siftUp(i int) {
-	h := q.heap
-	e := h[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !entryLess(e, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
-}
-
-func (q *Queue) siftDown(i int) {
-	h := q.heap
-	n := len(h)
-	e := h[i]
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if entryLess(h[j], h[m]) {
-				m = j
-			}
-		}
-		if !entryLess(h[m], e) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = e
 }

@@ -337,23 +337,33 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 
 // BenchmarkEventQueue is the zero-allocation reference: a warmed pool
 // driven entirely through the bound form must schedule and fire with 0
-// allocs/op.
-func BenchmarkEventQueue(b *testing.B) {
+// allocs/op. The pending set cycles between 512 and 1024 events, far
+// above what the simulator holds, so it is the large-set stress case.
+func BenchmarkEventQueue(b *testing.B) { benchEventQueue(b, 512, 1024) }
+
+// BenchmarkEventQueuePending32 is the same loop at the simulator's
+// pending-set size: a paper-grid MEM1 run holds about 30 pending
+// events (at most 40), so the set cycles between 24 and 40.
+func BenchmarkEventQueuePending32(b *testing.B) { benchEventQueue(b, 24, 40) }
+
+// benchEventQueue schedules one event per op at a delay of 0-127 ps and,
+// whenever more than hi events are pending, fires down to lo.
+func benchEventQueue(b *testing.B, lo, hi int) {
 	var q Queue
 	fn := Bound(func(config.Time, any, int32, int32) {})
-	// Warm the pool and the heap arena.
-	for i := 0; i < 1024; i++ {
+	// Warm the pool and the pending slice.
+	for i := 0; i < hi; i++ {
 		q.ScheduleBound(q.Now()+config.Time(i%128), fn, nil, 0, 0)
 	}
-	for q.Len() > 512 {
+	for q.Len() > lo {
 		q.Step()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.ScheduleBound(q.Now()+config.Time(i%128), fn, nil, int32(i), 0)
-		if q.Len() > 1024 {
-			for q.Len() > 512 {
+		if q.Len() > hi {
+			for q.Len() > lo {
 				q.Step()
 			}
 		}

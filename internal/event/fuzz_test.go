@@ -18,10 +18,19 @@ import (
 // the same (now, a, b) sequence, each shard of the two-shard copy the
 // subsequence it owns, and all must agree on Fired, ScheduledTotal,
 // Coalesced and every CancelDeferred outcome.
+//
+// The uninterrupted set is itself checked against fuzzOracle, a naive
+// model that shares no code with the queue: over the whole program it
+// must fire the identical (now, a, b) sequence and return the same
+// CancelDeferred outcomes.
 func FuzzSaveLoad(f *testing.F) {
 	f.Add([]byte{3, 0, 10, 1, 0, 3, 20, 2, 5, 6, 0, 6, 0})
 	f.Add([]byte{5, 0, 5, 0, 5, 1, 0, 4, 9, 5, 0, 6, 0, 0, 5, 6, 0, 5, 0})
 	f.Add([]byte{2, 3, 0, 0, 0, 6, 0, 1, 0, 1, 0, 2, 0, 4, 7, 6, 0, 5, 1})
+	// Three deferred schedules whose activation order differs from
+	// their schedule order: a one-slot-off deferred insert mis-orders
+	// the two fires at time 66.
+	f.Add([]byte{48, 66, 88, 66, 66, 66, 66})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -30,10 +39,12 @@ func FuzzSaveLoad(f *testing.F) {
 		cut := 2 * (int(data[0]) % (len(ops)/2 + 1))
 
 		ref := newFuzzRun(1)
+		orc := &fuzzOracle{}
 		for i := 0; i < cut; i += 2 {
 			// Before the cut the one-shard set steps event by event, so
 			// the save can land between same-instant events.
 			ref.apply(i/2, ops[i], ops[i+1], func() { ref.set.Shard(0).Step() })
+			orc.apply(i/2, ops[i], ops[i+1], func() { orc.step() })
 		}
 		st, err := ref.set.Save(ref.reg)
 		if err != nil {
@@ -62,11 +73,23 @@ func FuzzSaveLoad(f *testing.F) {
 			for _, r := range runs {
 				r.apply(i/2, ops[i], ops[i+1], r.stepInstant)
 			}
+			orc.apply(i/2, ops[i], ops[i+1], orc.stepInstant)
 		}
 		for _, r := range runs {
 			for r.set.Len() > 0 {
 				r.stepInstant()
 			}
+		}
+		for len(orc.pending)+len(orc.defers) > 0 {
+			orc.stepInstant()
+		}
+
+		if !slices.Equal(ref.fires[0], orc.fires) {
+			t.Fatalf("queue fired\n%v\noracle fired\n%v", ref.fires[0], orc.fires)
+		}
+		if !slices.Equal(ref.cancels, orc.cancels) || ref.set.Now() != orc.now {
+			t.Fatalf("queue CancelDeferred %v now %v, oracle %v now %v",
+				ref.cancels, ref.set.Now(), orc.cancels, orc.now)
 		}
 
 		want := ref.fires[0][firesBefore:]
@@ -176,6 +199,161 @@ func (r *fuzzRun) apply(i int, op, arg byte, step func()) {
 		if len(r.vias) > 0 {
 			tk := r.vias[int(arg)%len(r.vias)]
 			r.cancels = append(r.cancels, r.queue(tk.a).CancelDeferred(tk.seq))
+		}
+	case 6:
+		step()
+	}
+}
+
+// fuzzOracle is the reference model of a one-shard queue. It keeps its
+// pending events and deferred schedules in unsorted slices and finds
+// the next one by linear scan on (time, seq); a deferred schedule
+// activates when its (activation, seq) precedes the earliest pending
+// event and then re-enters as a pending event with a fresh sequence
+// number.
+type fuzzOracle struct {
+	now     config.Time
+	seq     uint64
+	pending []oracleEvent
+	defers  []oracleDeferred
+	tickets []fuzzTicket
+	vias    []fuzzTicket
+	fires   []fuzzFire
+	cancels []bool
+}
+
+type oracleEvent struct {
+	at   config.Time
+	seq  uint64
+	a, b int32
+}
+
+type oracleDeferred struct {
+	activateAt config.Time
+	seq        uint64
+	fireAt     config.Time
+	a, b       int32
+}
+
+func oracleBefore(at1 config.Time, seq1 uint64, at2 config.Time, seq2 uint64) bool {
+	return at1 < at2 || at1 == at2 && seq1 < seq2
+}
+
+// minPending returns the index of the earliest pending event, or -1.
+func (o *fuzzOracle) minPending() int {
+	m := -1
+	for i, e := range o.pending {
+		if m < 0 || oracleBefore(e.at, e.seq, o.pending[m].at, o.pending[m].seq) {
+			m = i
+		}
+	}
+	return m
+}
+
+// minDeferred returns the index of the earliest deferred activation,
+// or -1.
+func (o *fuzzOracle) minDeferred() int {
+	m := -1
+	for i, d := range o.defers {
+		if m < 0 || oracleBefore(d.activateAt, d.seq, o.defers[m].activateAt, o.defers[m].seq) {
+			m = i
+		}
+	}
+	return m
+}
+
+func (o *fuzzOracle) next() uint64 {
+	o.seq++
+	return o.seq
+}
+
+func (o *fuzzOracle) activate(i int) {
+	d := o.defers[i]
+	o.defers = slices.Delete(o.defers, i, i+1)
+	o.pending = append(o.pending, oracleEvent{d.fireAt, o.next(), d.a, d.b})
+}
+
+// step fires the earliest pending event after activating every
+// deferred schedule positioned before it.
+func (o *fuzzOracle) step() {
+	for {
+		d, p := o.minDeferred(), o.minPending()
+		if d < 0 || p >= 0 && !oracleBefore(o.defers[d].activateAt, o.defers[d].seq, o.pending[p].at, o.pending[p].seq) {
+			break
+		}
+		o.activate(d)
+	}
+	if p := o.minPending(); p >= 0 {
+		e := o.pending[p]
+		o.pending = slices.Delete(o.pending, p, p+1)
+		o.now = e.at
+		o.fires = append(o.fires, fuzzFire{e.at, e.a, e.b})
+	}
+}
+
+// stepInstant runs through the earliest pending fire time, counting a
+// deferred schedule at its fire time.
+func (o *fuzzOracle) stepInstant() {
+	var deadline config.Time
+	ok := false
+	for _, e := range o.pending {
+		if !ok || e.at < deadline {
+			deadline, ok = e.at, true
+		}
+	}
+	for _, d := range o.defers {
+		if !ok || d.fireAt < deadline {
+			deadline, ok = d.fireAt, true
+		}
+	}
+	if !ok {
+		return
+	}
+	for {
+		if p := o.minPending(); p >= 0 && o.pending[p].at <= deadline {
+			o.step()
+		} else if d := o.minDeferred(); d >= 0 && o.defers[d].activateAt <= deadline {
+			o.activate(d)
+		} else {
+			break
+		}
+	}
+	o.now = deadline
+}
+
+// apply decodes the i-th program operation exactly as fuzzRun.apply
+// does; step carries out a Step.
+func (o *fuzzOracle) apply(i int, op, arg byte, step func()) {
+	a, b := int32(i), int32(arg)
+	d := config.Time(arg)
+	switch op % 7 {
+	case 0:
+		o.pending = append(o.pending, oracleEvent{o.now + d, o.next(), a, b})
+	case 1:
+		o.tickets = append(o.tickets, fuzzTicket{Seq(o.next()), a})
+	case 2:
+		if len(o.tickets) > 0 {
+			tk := o.tickets[0]
+			o.tickets = o.tickets[1:]
+			o.pending = append(o.pending, oracleEvent{o.now + d, uint64(tk.seq), tk.a, b})
+		}
+	case 3:
+		o.defers = append(o.defers, oracleDeferred{o.now + d/2, o.next(), o.now + d, a, b})
+	case 4:
+		if len(o.tickets) > 0 {
+			tk := o.tickets[0]
+			o.tickets = o.tickets[1:]
+			o.defers = append(o.defers, oracleDeferred{o.now + d/2, uint64(tk.seq), o.now + d, tk.a, b})
+			o.vias = append(o.vias, tk)
+		}
+	case 5:
+		if len(o.vias) > 0 {
+			tk := o.vias[int(arg)%len(o.vias)]
+			k := slices.IndexFunc(o.defers, func(d oracleDeferred) bool { return d.seq == uint64(tk.seq) })
+			if k >= 0 {
+				o.defers = slices.Delete(o.defers, k, k+1)
+			}
+			o.cancels = append(o.cancels, k >= 0)
 		}
 	case 6:
 		step()

@@ -13,7 +13,7 @@ import (
 // every shard, dense and sorted by (time, seq), plus the deferred
 // schedules sorted by (activation, seq). Because (time, seq) keys are
 // unique, pop order is a function of the keys alone — not of slot
-// numbers, free-list order or heap layout — so loading the image into
+// numbers, free-list order or slice layout — so loading the image into
 // any number of shards reproduces the saved run's future exactly.
 //
 // Callbacks cannot be serialized directly (they are function values
@@ -54,9 +54,10 @@ type DeferredState struct {
 	B          int32       `json:"b,omitempty"`
 }
 
-// State is the serializable image of a ShardSet. Free is never written;
-// it is kept so images of the older verbatim-arena format, which list
-// their free slots, are still validated on load.
+// State is the serializable image of a ShardSet. Heap lists the
+// pending entries; it keeps the name older images use. Free is never
+// written; it is kept so images of the older verbatim-arena format,
+// which list their free slots, are still validated on load.
 type State struct {
 	Now       config.Time     `json:"now"`
 	Seq       uint64          `json:"seq"`
@@ -85,15 +86,20 @@ func deferredCmp(x, y DeferredState) int {
 }
 
 // Save captures the set as one canonical image, translating every
-// pending callback through reg. Entries are sorted by (time, seq) — a
-// sorted array is a valid 4-ary min-heap — over a dense node array
-// whose i-th node belongs to the i-th entry. The set is left untouched.
+// pending callback through reg. Entries are sorted ascending by (time,
+// seq) — the reverse of a queue's descending pending slice — over a
+// dense node array whose i-th node belongs to the i-th entry. Callbacks
+// are encoded in that order, pending events before deferred schedules,
+// so whatever reg interns while encoding (a request table) is
+// numbered by key too, not by the shards' layout. The set is left
+// untouched.
 func (s *ShardSet) Save(reg *Registry) (*State, error) {
 	type pending struct {
-		key  EntryState
-		node NodeState
+		key EntryState
+		n   *node
 	}
 	var ps []pending
+	var ds []*deferred
 	st := &State{Now: s.Now()}
 	for _, q := range s.qs {
 		st.Seq = max(st.Seq, q.seq)
@@ -101,37 +107,36 @@ func (s *ShardSet) Save(reg *Registry) (*State, error) {
 		st.Fired += q.fired
 		st.Scheduled += q.scheduled
 		st.Coalesced += q.coalesced
-		for _, e := range q.heap {
-			n := &q.nodes[e.idx]
-			kind, owner, err := reg.Encode(n.bfn, n.env)
-			if err != nil {
-				return nil, fmt.Errorf("event: save entry: %w", err)
-			}
-			ps = append(ps, pending{
-				key:  EntryState{At: e.at, Seq: e.seq},
-				node: NodeState{Kind: kind, Owner: owner, A: n.a, B: n.b},
-			})
+		for _, e := range q.pending {
+			ps = append(ps, pending{key: EntryState{At: e.at, Seq: e.seq}, n: &q.nodes[e.idx]})
 		}
 		for i := range q.defers {
-			d := &q.defers[i]
-			kind, owner, err := reg.Encode(d.bfn, d.env)
-			if err != nil {
-				return nil, fmt.Errorf("event: save deferred: %w", err)
-			}
-			st.Defers = append(st.Defers, DeferredState{
-				ActivateAt: d.activateAt, Seq: d.seq, FireAt: d.fireAt,
-				Kind: kind, Owner: owner, A: d.a, B: d.b,
-			})
+			ds = append(ds, &q.defers[i])
 		}
 	}
 	slices.SortFunc(ps, func(x, y pending) int { return entryCmp(x.key, y.key) })
 	st.Heap = make([]EntryState, len(ps))
 	st.Nodes = make([]NodeState, len(ps))
 	for i, p := range ps {
+		kind, owner, err := reg.Encode(p.n.bfn, p.n.env)
+		if err != nil {
+			return nil, fmt.Errorf("event: save entry: %w", err)
+		}
 		p.key.Idx = int32(i)
-		st.Heap[i], st.Nodes[i] = p.key, p.node
+		st.Heap[i] = p.key
+		st.Nodes[i] = NodeState{Kind: kind, Owner: owner, A: p.n.a, B: p.n.b}
 	}
-	slices.SortFunc(st.Defers, deferredCmp)
+	slices.SortFunc(ds, func(x, y *deferred) int { return keyCmp(x.activateAt, x.seq, y.activateAt, y.seq) })
+	for _, d := range ds {
+		kind, owner, err := reg.Encode(d.bfn, d.env)
+		if err != nil {
+			return nil, fmt.Errorf("event: save deferred: %w", err)
+		}
+		st.Defers = append(st.Defers, DeferredState{
+			ActivateAt: d.activateAt, Seq: d.seq, FireAt: d.fireAt,
+			Kind: kind, Owner: owner, A: d.a, B: d.b,
+		})
+	}
 	return st, nil
 }
 
@@ -202,11 +207,12 @@ func (s *ShardSet) Load(st *State, reg *Registry, shardOf ShardOf) error {
 	qs[0].fired, qs[0].scheduled, qs[0].coalesced = st.Fired, st.Scheduled, st.Coalesced
 
 	// Distributing in canonical order leaves each shard's entries — a
-	// subsequence — sorted, which is a valid heap.
-	heap := slices.Clone(st.Heap)
-	slices.SortFunc(heap, entryCmp)
-	for i, e := range heap {
-		if i > 0 && entryCmp(heap[i-1], e) == 0 {
+	// subsequence — sorted ascending; each is reversed once below into
+	// the queue's descending layout.
+	entries := slices.Clone(st.Heap)
+	slices.SortFunc(entries, entryCmp)
+	for i, e := range entries {
+		if i > 0 && entryCmp(entries[i-1], e) == 0 {
 			return fmt.Errorf("event: load: two entries share key (%v, %d)", e.At, e.Seq)
 		}
 		ns := st.Nodes[e.Idx]
@@ -215,7 +221,7 @@ func (s *ShardSet) Load(st *State, reg *Registry, shardOf ShardOf) error {
 			return fmt.Errorf("event: load entry: %w", err)
 		}
 		q := &qs[j]
-		q.heap = append(q.heap, entry{at: e.At, seq: e.Seq, idx: int32(len(q.nodes))})
+		q.pending = append(q.pending, entry{at: e.At, seq: e.Seq, idx: int32(len(q.nodes))})
 		q.nodes = append(q.nodes, node{bfn: fn, env: env, a: ns.A, b: ns.B})
 	}
 	defers := slices.Clone(st.Defers)
@@ -240,6 +246,8 @@ func (s *ShardSet) Load(st *State, reg *Registry, shardOf ShardOf) error {
 		})
 	}
 	for j, q := range s.qs {
+		slices.Reverse(qs[j].pending)
+		slices.Reverse(qs[j].defers)
 		*q = qs[j]
 	}
 	return nil

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"memscale/internal/config"
 )
 
 // parentImage is a queue image in the verbatim-arena format older
@@ -170,5 +172,48 @@ func TestLoadRejectsMalformed(t *testing.T) {
 				t.Errorf("failed load changed the set: now %v, len %d, fired %d", r.set.Now(), r.set.Len(), r.set.Fired())
 			}
 		})
+	}
+}
+
+// TestSaveEncodesInKeyOrder: Save encodes callbacks in key order —
+// pending events by (time, seq), then deferred schedules by
+// (activation, seq) — at every shard count, so an encoder that interns
+// envs in encounter order (as the controller's request table does)
+// numbers them independently of the queues' layout.
+func TestSaveEncodesInKeyOrder(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		ids := map[*int]int32{}
+		reg := NewRegistry()
+		rec := Bound(func(config.Time, any, int32, int32) {})
+		reg.RegisterBound("rec", rec,
+			func(env any) (int32, error) {
+				p := env.(*int)
+				if _, ok := ids[p]; !ok {
+					ids[p] = int32(len(ids))
+				}
+				return ids[p], nil
+			},
+			func(int32) (Bound, any, error) { return rec, nil, nil })
+		set := NewShardSet(n)
+		for i, at := range []config.Time{50, 10, 40, 20, 30, 10} {
+			set.Shard(i%n).ScheduleBound(at, rec, new(int), 0, 0)
+		}
+		for i, act := range []config.Time{35, 5, 25} {
+			set.Shard(i%n).ScheduleVia(act, act+100, rec, new(int), 0, 0)
+		}
+		st, err := set.Save(reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var owners []int32
+		for _, ns := range st.Nodes {
+			owners = append(owners, ns.Owner)
+		}
+		for _, d := range st.Defers {
+			owners = append(owners, d.Owner)
+		}
+		if want := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8}; !slices.Equal(owners, want) {
+			t.Errorf("%d shards: owners in image order %v, want %v", n, owners, want)
+		}
 	}
 }

@@ -222,10 +222,12 @@ type ResumeJob struct {
 // governor, same configuration, same fault schedule) — the crash
 // recovery counterpart to the fault plane's panic isolation.
 //
-// The resumed portion runs the container's fault schedule from the
-// container's attempt number, and Outcome.Attempts counts from there.
-// Transient aborts are drawn at epoch 0 only, which a resume never
-// re-runs, so a resumed portion completes on its first attempt.
+// The resumed portion runs the container's fault schedule under the
+// container's attempt number. Resumes do not retry: transient aborts
+// are drawn at epoch 0 only, which a resume never re-runs, so a resume
+// completes on its first attempt (Outcome.Attempts is 1) and adds no
+// transient aborts. Its retry budget is unreachable through the fault
+// plane.
 func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (Outcome, error) {
 	ck := rj.Checkpoint
 	if ck == nil || ck.State == nil {

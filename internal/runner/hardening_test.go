@@ -203,8 +203,11 @@ func TestTransientFaultExhaustsRetries(t *testing.T) {
 			job.Faults = &faults.Config{Seed: 3, TransientAbortRate: 1, MaxRunRetries: 2}
 			out, err := runVia(context.Background(), t, entry, Options{Workers: 1}, job)
 			if entry == "Resume" {
-				if err != nil || out.Attempts != resumedAttempts {
-					t.Fatalf("resume under abort rate 1: attempts %d, err %v; want %d, nil", out.Attempts, err, resumedAttempts)
+				// Resumes do not retry: every attempt would abort at its
+				// epoch 0, which a resume never re-runs.
+				if err != nil || out.Attempts != resumedAttempts || out.Res.Faults.TransientAborts != 0 {
+					t.Fatalf("resume under abort rate 1: attempts %d, transient aborts %d, err %v; want %d, 0, nil",
+						out.Attempts, out.Res.Faults.TransientAborts, err, resumedAttempts)
 				}
 				return
 			}

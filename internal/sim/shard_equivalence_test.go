@@ -246,8 +246,8 @@ func TestLegacyStormRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The legacy image: the boundary state plus one queued burst. A
-	// sorted entry array is a valid heap.
+	// The legacy image: the boundary state plus one queued burst, its
+	// entries kept in canonical (time, seq) order.
 	ck, err := src.Save()
 	if err != nil {
 		t.Fatal(err)
